@@ -325,27 +325,6 @@ impl Clone for ImplicationEstimator {
 }
 
 impl ImplicationEstimator {
-    /// Creates an estimator with `m` bitmaps (power of two; the paper uses
-    /// 64), a bounded fringe of `fringe_size` cells (the paper uses 4), and
-    /// a hash seed.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use EstimatorConfig::new(cond).bitmaps(m).fringe(Fringe::Bounded(f)).seed(s).build()"
-    )]
-    pub fn new(cond: ImplicationConditions, m: usize, fringe_size: u32, seed: u64) -> Self {
-        Self::build(cond, m, Some(fringe_size), seed, MemoryBudget::unlimited())
-    }
-
-    /// Creates the unbounded-fringe variant (accuracy yard-stick with
-    /// `O(F0)` memory; the "Unbounded Fringe" series of Figures 4–6).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use EstimatorConfig::new(cond).bitmaps(m).fringe(Fringe::Unbounded).seed(s).build()"
-    )]
-    pub fn new_unbounded(cond: ImplicationConditions, m: usize, seed: u64) -> Self {
-        Self::build(cond, m, None, seed, MemoryBudget::unlimited())
-    }
-
     fn build(
         cond: ImplicationConditions,
         m: usize,
@@ -384,11 +363,15 @@ impl ImplicationEstimator {
         est
     }
 
-    /// Pushes the budget gauges (`mem_bytes`, `mem_budget`) into the
-    /// metrics registry; `mem_budget` reports 0 when unlimited.
-    fn publish_mem_gauges(&self) {
+    /// Pushes the state gauges (`mem_bytes`, `mem_budget`, `occupancy`)
+    /// into the metrics registry; `mem_budget` reports 0 when unlimited.
+    /// Updates keep them current incrementally; every path that replaces
+    /// state wholesale (build, restore, adopt, sharded reassembly) calls
+    /// this to re-anchor them.
+    pub(crate) fn publish_mem_gauges(&self) {
         let m = &self.metrics.estimator;
         m.mem_bytes.set(self.budget.used() as u64);
+        m.occupancy.set(self.entries() as u64);
         m.mem_budget.set(if self.budget.is_limited() {
             self.budget.limit() as u64
         } else {

@@ -565,6 +565,9 @@ impl ShardedEstimator {
             let shard = worker.join().expect("ingestion worker panicked");
             out.merge(&shard);
         }
+        // The shards are gone: re-anchor the gauges they last set (with
+        // every shard's arenas still reserved) on the merged state.
+        out.publish_mem_gauges();
         // The session span covers reassembly too.
         drop(ingest_span);
         // Hand the publication channel to the reassembled writer and push

@@ -64,7 +64,7 @@
 //! bounded JSONL flight recording for post-mortem analysis.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::process::exit;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -76,20 +76,16 @@ use implicate::core::fleet::{NodeRegistry, DEFAULT_STALE_AFTER_MS};
 use implicate::core::wire::{
     peek_frame, WireDecoder, WireSnapshot, DEFAULT_MAX_FRAME_BYTES, REJECT_NODE_ID_SWITCH,
 };
-use implicate::sketch::hash::MixHasher;
 use implicate::spec;
+use implicate::text::{Row, RowReader};
 use implicate::{
     EstimateReader, EstimatorConfig, Fringe, HashedBatch, ImplicationConditions,
-    ImplicationEstimator, ImplicationQuery, MetricsHandle, MultiplicityPolicy, PairHasher,
-    QueryCatalog, QueryId, Schema, ShardedEstimator, TraceEvent, TraceHandle, Tuple,
+    ImplicationEstimator, ImplicationQuery, MetricsHandle, MultiplicityPolicy, QueryCatalog,
+    QueryId, Schema, ShardedEstimator, TraceEvent, TraceHandle, Tuple,
 };
 
 mod flight;
 mod status;
-
-/// Field hasher seed shared with the `implicate` CLI so both tools
-/// fingerprint the same fields identically.
-const FIELD_HASHER_SEED: u64 = spec::FIELD_HASHER_SEED;
 
 /// Rows buffered per ingest connection before a batch ships to the
 /// writer.
@@ -198,21 +194,6 @@ catalog role (see DESIGN.md §8.8):
                         (same line grammar as the implicate CLI)
 ";
 
-fn parse_cols(v: &str) -> Vec<usize> {
-    let cols: Vec<usize> = v
-        .split(',')
-        .map(|c| {
-            c.trim()
-                .parse()
-                .unwrap_or_else(|_| die(&format!("bad column {c:?}")))
-        })
-        .collect();
-    if cols.is_empty() {
-        die("empty column list");
-    }
-    cols
-}
-
 fn parse_num<T: std::str::FromStr>(v: &str, flag: &str) -> T {
     v.parse()
         .unwrap_or_else(|_| die(&format!("{flag}: bad value {v:?}")))
@@ -262,8 +243,8 @@ fn parse_opts() -> Opts {
                 .as_str()
         };
         match flag.as_str() {
-            "--lhs" => lhs = parse_cols(val()),
-            "--rhs" => rhs = parse_cols(val()),
+            "--lhs" => lhs = spec::parse_columns(val()).unwrap_or_else(|e| die(&e)),
+            "--rhs" => rhs = spec::parse_columns(val()).unwrap_or_else(|e| die(&e)),
             "--delimiter" => {
                 let v = val();
                 let mut chars = v.chars();
@@ -417,26 +398,6 @@ fn parse_opts() -> Opts {
         arity,
         query_file,
     }
-}
-
-/// Splits a line into trimmed fields (same rules as the CLI).
-fn split_line(line: &str, delimiter: Option<char>) -> Vec<&str> {
-    match delimiter {
-        Some(d) => line.split(d).map(str::trim).collect(),
-        None => line.split_whitespace().collect(),
-    }
-}
-
-/// Projects the selected columns into field fingerprints.
-fn project(fields: &[&str], cols: &[usize], hasher: &MixHasher, out: &mut Vec<u64>) -> bool {
-    out.clear();
-    for &c in cols {
-        match fields.get(c) {
-            Some(f) => out.push(implicate::text::hash_field(hasher, f)),
-            None => return false,
-        }
-    }
-    true
 }
 
 /// Shared state the connection handlers read.
@@ -743,74 +704,6 @@ fn catalog_writer_loop(
     refresh(&catalog, cat);
     shared.writer_done.store(true, Ordering::Release);
     (rows, catalog.tuples_seen())
-}
-
-/// One catalog ingest connection: every line becomes a full
-/// `--arity`-wide tuple of field fingerprints (narrower rows are
-/// skipped), so any query registered now *or later in the stream* is
-/// answered from the same pass.
-fn catalog_ingest_connection(
-    stream: TcpStream,
-    shared: &Shared,
-    arity: usize,
-    delimiter: Option<char>,
-    tx: &SyncSender<Vec<Tuple>>,
-) {
-    stream.set_read_timeout(Some(POLL)).ok();
-    let field_hasher = MixHasher::new(FIELD_HASHER_SEED);
-    let mut reader = BufReader::new(stream);
-    let mut batch = Vec::with_capacity(INGEST_BATCH);
-    let mut vals = Vec::with_capacity(arity);
-    let mut line = String::new();
-    loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => break, // EOF: client done.
-            Ok(_) => {
-                let trimmed = line.trim_end_matches(['\r', '\n']);
-                if !trimmed.is_empty() && !trimmed.starts_with('#') {
-                    let fields = split_line(trimmed, delimiter);
-                    if fields.len() >= arity {
-                        vals.clear();
-                        vals.extend(
-                            fields[..arity]
-                                .iter()
-                                .map(|f| implicate::text::hash_field(&field_hasher, f)),
-                        );
-                        batch.push(Tuple::new(vals.as_slice()));
-                        shared.accepted.fetch_add(1, Ordering::Relaxed);
-                        if batch.len() >= INGEST_BATCH {
-                            let full =
-                                std::mem::replace(&mut batch, Vec::with_capacity(INGEST_BATCH));
-                            if tx.send(full).is_err() {
-                                return;
-                            }
-                        }
-                    } else {
-                        shared.skipped.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                line.clear();
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if !batch.is_empty() {
-                    let partial = std::mem::take(&mut batch);
-                    if tx.send(partial).is_err() {
-                        return;
-                    }
-                }
-                if shared.stop.load(Ordering::Acquire) {
-                    return;
-                }
-            }
-            Err(_) => break,
-        }
-    }
-    if !batch.is_empty() {
-        let _ = tx.send(batch);
-    }
 }
 
 /// Returns true when the peer has half-closed or reset the connection —
@@ -1442,31 +1335,16 @@ fn main() {
                 });
             });
         } else if opts.catalog {
-            let arity = opts.arity;
-            let delimiter = opts.delimiter;
-            let tuple_tx = tuple_tx.clone();
-            std::thread::spawn(move || {
-                accept_loop(&ingest_listener, &shared, move |stream, shared| {
-                    let tx = tuple_tx.clone();
-                    std::thread::spawn(move || {
-                        catalog_ingest_connection(stream, &shared, arity, delimiter, &tx);
-                    });
-                });
+            let rows = RowReader::new(&(0..opts.arity).collect::<Vec<_>>(), opts.delimiter);
+            spawn_text_ingest(ingest_listener, shared, rows, tuple_tx.clone(), |w| {
+                Tuple::new(w)
             });
         } else {
-            let lhs = opts.lhs.clone();
-            let rhs = opts.rhs.clone();
-            let delimiter = opts.delimiter;
-            let batch_tx = batch_tx.clone();
-            std::thread::spawn(move || {
-                accept_loop(&ingest_listener, &shared, move |stream, shared| {
-                    let tx = batch_tx.clone();
-                    let lhs = lhs.clone();
-                    let rhs = rhs.clone();
-                    std::thread::spawn(move || {
-                        ingest_connection(stream, &shared, &lhs, &rhs, delimiter, pair_hasher, &tx);
-                    });
-                });
+            let rows = RowReader::new(&[&opts.lhs[..], &opts.rhs[..]].concat(), opts.delimiter);
+            let split = opts.lhs.len();
+            spawn_text_ingest(ingest_listener, shared, rows, batch_tx.clone(), move |w| {
+                let (a, b) = w.split_at(split);
+                pair_hasher.hash_pair(a, b)
             });
         }
     }
@@ -1507,6 +1385,24 @@ fn main() {
     // Connection threads are detached and stop-flag aware; exiting the
     // process reaps anything still parked in a read timeout.
     exit(0);
+}
+
+/// Serves the text line protocol on `listener`: one thread per
+/// connection, each running [`ingest_connection`] with its own copy of
+/// `rows` and sending `item`-built batches to the writer over `tx`.
+fn spawn_text_ingest<T: Send + 'static>(
+    listener: TcpListener,
+    shared: Arc<Shared>,
+    rows: RowReader,
+    tx: SyncSender<Vec<T>>,
+    item: impl Fn(&[u64]) -> T + Clone + Send + 'static,
+) {
+    std::thread::spawn(move || {
+        accept_loop(&listener, &shared, move |stream, shared| {
+            let (rows, tx, item) = (rows.clone(), tx.clone(), item.clone());
+            std::thread::spawn(move || ingest_connection(stream, &shared, rows, &tx, item));
+        });
+    });
 }
 
 /// Generic nonblocking accept loop, stop-flag aware.
@@ -1658,55 +1554,46 @@ fn writer_loop(
     (rows, est.tuples_seen())
 }
 
-/// One ingest connection: parse lines, hash pairs, ship batches.
-fn ingest_connection(
+/// One text ingest connection: rows through the shared front end
+/// ([`RowReader`]), each row's field words made a batch item by `item`
+/// (a hashed pair, or a catalog tuple), batches shipped to the writer.
+/// Rows too short for the reader's columns count as skipped.
+fn ingest_connection<T>(
     stream: TcpStream,
     shared: &Shared,
-    lhs: &[usize],
-    rhs: &[usize],
-    delimiter: Option<char>,
-    pair_hasher: PairHasher,
-    tx: &SyncSender<Vec<(u64, u64)>>,
+    mut rows: RowReader,
+    tx: &SyncSender<Vec<T>>,
+    item: impl Fn(&[u64]) -> T,
 ) {
     stream.set_read_timeout(Some(POLL)).ok();
-    let field_hasher = MixHasher::new(FIELD_HASHER_SEED);
-    let mut reader = BufReader::new(stream);
-    let (mut buf_a, mut buf_b) = (Vec::new(), Vec::new());
+    let mut input = BufReader::new(stream);
+    let mut words = Vec::new();
     let mut batch = Vec::with_capacity(INGEST_BATCH);
-    let mut line = String::new();
     loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => break, // EOF: client done.
-            Ok(_) => {
-                let trimmed = line.trim_end_matches(['\r', '\n']);
-                if !trimmed.is_empty() && !trimmed.starts_with('#') {
-                    let fields = split_line(trimmed, delimiter);
-                    let ok = project(&fields, lhs, &field_hasher, &mut buf_a)
-                        && project(&fields, rhs, &field_hasher, &mut buf_b);
-                    if ok {
-                        batch.push(pair_hasher.hash_pair(&buf_a, &buf_b));
-                        shared.accepted.fetch_add(1, Ordering::Relaxed);
-                        if batch.len() >= INGEST_BATCH {
-                            let full =
-                                std::mem::replace(&mut batch, Vec::with_capacity(INGEST_BATCH));
-                            if tx.send(full).is_err() {
-                                return;
-                            }
-                        }
-                    } else {
-                        shared.skipped.fetch_add(1, Ordering::Relaxed);
+        words.clear();
+        match rows.read_row(&mut input, &mut words) {
+            Ok(Row::Fields) => {
+                batch.push(item(&words));
+                shared.accepted.fetch_add(1, Ordering::Relaxed);
+                if batch.len() >= INGEST_BATCH {
+                    let full = std::mem::replace(&mut batch, Vec::with_capacity(INGEST_BATCH));
+                    if tx.send(full).is_err() {
+                        return;
                     }
                 }
-                line.clear();
             }
+            Ok(Row::Short) => {
+                shared.skipped.fetch_add(1, Ordering::Relaxed);
+            }
+            Ok(Row::End) => break, // EOF: client done.
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
-                // The read timed out; `line` may hold a partial line —
-                // keep it, the next read appends the remainder. Flush
-                // what we have so slow trickles still become visible,
-                // then check for stop.
+                // The read timed out; the reader keeps any partial line
+                // and the next read appends the remainder. Flush what we
+                // have so slow trickles still become visible, then check
+                // for stop.
                 if !batch.is_empty() {
                     let partial = std::mem::take(&mut batch);
                     if tx.send(partial).is_err() {

@@ -11,7 +11,7 @@
 //! # destinations contacted by >100 sources, reported every 100k rows
 //! implicate --lhs 1 --rhs 0 --max-mult 100 --complement --watch 100000
 //!
-//! # spread parsing + ingestion over 4 cores (same results, bit for bit)
+//! # spread ingestion over 4 lanes (same results, bit for bit)
 //! implicate --lhs 0 --rhs 1 --threads 4 traffic.csv
 //!
 //! # checkpoint / resume across restarts
@@ -52,22 +52,20 @@
 
 use std::io::{BufRead, Write};
 use std::process::exit;
-use std::sync::mpsc::sync_channel;
 use std::sync::OnceLock;
 
-use implicate::sketch::hash::MixHasher;
-use implicate::spec::QuerySpec;
+use implicate::sketch::estimate::relative_error;
+use implicate::spec::{parse_columns, QuerySpec};
+use implicate::text::{Row, RowReader};
 use implicate::{
-    AccuracyAuditor, EstimatorConfig, ExactCounter, Fringe, ImplicationConditions,
-    ImplicationCounter, ImplicationEstimator, MetricsHandle, MultiplicityPolicy, QueryCatalog,
-    QueryKind, Schema, ShardedCatalog, ShardedEstimator, TraceHandle, Tuple,
+    AccuracyAuditor, Estimate, EstimateReader, EstimatorConfig, ExactCounter, Fringe, HashedBatch,
+    ImplicationConditions, ImplicationCounter, ImplicationEstimator, MetricsHandle,
+    MultiplicityPolicy, PairHasher, QueryCatalog, QueryId, QueryKind, Schema, ShardedCatalog,
+    ShardedEstimator, TraceHandle, Tuple, TupleHasher,
 };
 
-/// Lines per batch handed from the reader to the parser pool.
+/// Rows per batch handed from the read loop to the sink.
 const LINE_BATCH: usize = 2048;
-
-/// Bound, in batches, of the parallel pipeline's channels.
-const PIPE_DEPTH: usize = 4;
 
 /// Wire format of the periodic `--stats-interval` emission.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -165,13 +163,13 @@ const OPTIONS: &[Opt] = &[
         name: "--lhs",
         metavar: "COLS",
         doc: "comma-separated 0-based columns forming the counted\nitemset A (e.g. --lhs 0 or --lhs 0,2)",
-        set: |d, v| d.lhs = Some(parse_cols(v)),
+        set: |d, v| d.lhs = Some(parse_columns(v).unwrap_or_else(|e| die(&e))),
     },
     Opt {
         name: "--rhs",
         metavar: "COLS",
         doc: "columns forming the implied itemset B",
-        set: |d, v| d.rhs = Some(parse_cols(v)),
+        set: |d, v| d.rhs = Some(parse_columns(v).unwrap_or_else(|e| die(&e))),
     },
     Opt {
         name: "--max-mult",
@@ -254,7 +252,7 @@ const OPTIONS: &[Opt] = &[
     Opt {
         name: "--threads",
         metavar: "N",
-        doc: "ingestion shards (default 1); N > 1 parses and ingests\nin parallel with results identical to N = 1; with\n--query-file, spreads the catalog's queries over N lanes",
+        doc: "ingestion lanes (default 1); N > 1 ingests on N lane\nthreads with results identical to N = 1; with\n--query-file, spreads the catalog's queries over N lanes",
         set: |d, v| d.threads = parse_num(v, "--threads"),
     },
     Opt {
@@ -396,16 +394,6 @@ fn die(msg: &str) -> ! {
     exit(2)
 }
 
-fn parse_cols(raw: &str) -> Vec<usize> {
-    raw.split(',')
-        .map(|c| {
-            c.trim()
-                .parse()
-                .unwrap_or_else(|_| die(&format!("bad column {c:?}")))
-        })
-        .collect()
-}
-
 fn parse_num<T: std::str::FromStr>(raw: &str, key: &str) -> T {
     raw.parse().unwrap_or_else(|_| die(&format!("bad {key}")))
 }
@@ -540,14 +528,272 @@ impl CliDraft {
     }
 }
 
-/// Seed of the hasher folding raw text fields into 64-bit fingerprints
-/// (rows and `where=` literals must agree, so it is fixed).
-const FIELD_HASHER_SEED: u64 = implicate::spec::FIELD_HASHER_SEED;
+impl Cli {
+    /// The single-query answer: S, or S̄ under `--complement`.
+    fn answer(&self, e: &Estimate) -> f64 {
+        if self.complement {
+            e.non_implication_count
+        } else {
+            e.implication_count
+        }
+    }
+}
 
 /// Reads and parses a `--query-file` (line grammar: `implicate::spec`).
 fn parse_query_file(path: &str) -> Vec<QuerySpec> {
     let body = std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
     implicate::spec::parse_query_file(&body).unwrap_or_else(|e| die(&format!("{path}: {e}")))
+}
+
+fn open_input(cli: &Cli) -> Box<dyn BufRead> {
+    match &cli.input {
+        Some(path) => {
+            let file = std::fs::File::open(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
+            Box::new(std::io::BufReader::new(file))
+        }
+        None => Box::new(std::io::stdin().lock()),
+    }
+}
+
+/// Whether row `rows` is a multiple of the cadence `n`, if one is set.
+fn at(n: Option<u64>, rows: u64) -> bool {
+    n.is_some_and(|n| rows.is_multiple_of(n))
+}
+
+/// Where the read loop's batches go: a single estimator or a query
+/// catalog, each inline or spread over `--threads` lanes.
+trait Sink {
+    /// Ingests one batch of rows, each the field words of the column
+    /// list the loop reads with.
+    fn ingest(&mut self, words: &[u64]);
+    /// Runs the `--audit`, `--stats-interval` and `--watch` hooks due
+    /// at `rows`; the loop ends a batch at every multiple of each.
+    fn hooks(&mut self, rows: u64);
+    /// Prints the answers and the end-of-run reports.
+    fn finish(self, rows: u64, skipped: u64);
+}
+
+/// The read loop of every mode: fills up to [`LINE_BATCH`] rows of the
+/// `cols` field words, ends the batch early at every multiple of a hook
+/// cadence, and hands it to `sink`.
+fn drive(cli: &Cli, cols: &[usize], mut sink: impl Sink) {
+    let mut input = open_input(cli);
+    let mut reader = RowReader::new(cols, cli.delimiter);
+    let cadences: Vec<u64> = [cli.audit, cli.stats_interval, cli.watch]
+        .into_iter()
+        .flatten()
+        .collect();
+    let mut words = Vec::with_capacity(LINE_BATCH * cols.len());
+    let (mut rows, mut skipped) = (0u64, 0u64);
+    let mut more = true;
+    while more {
+        let room = cadences
+            .iter()
+            .map(|n| n - rows % n)
+            .fold(LINE_BATCH as u64, u64::min);
+        let mut filled = 0;
+        words.clear();
+        while filled < room {
+            match reader.read_row(&mut input, &mut words) {
+                Ok(Row::Fields) => filled += 1,
+                Ok(Row::Short) => skipped += 1,
+                Ok(Row::End) => {
+                    more = false;
+                    break;
+                }
+                Err(e) => die(&format!("read error: {e}")),
+            }
+        }
+        if filled > 0 {
+            sink.ingest(&words);
+            rows += filled;
+            sink.hooks(rows);
+        }
+    }
+    sink.finish(rows, skipped);
+}
+
+/// The single-query engine: inline (`--threads 1`) or sharded lanes.
+enum Estimator {
+    Inline(ImplicationEstimator),
+    Lanes(Box<ShardedEstimator>, Option<EstimateReader>),
+}
+
+/// Single-query sink. Each row's words are the `--lhs` then the `--rhs`
+/// columns; the row becomes the estimator's own `hash_pair`, and the
+/// batch one `update_hashed_batch`.
+struct PairSink<'a> {
+    cli: &'a Cli,
+    engine: Estimator,
+    hasher: PairHasher,
+    width: usize,
+    split: usize,
+    pairs: Vec<(u64, u64)>,
+    auditor: Option<AccuracyAuditor>,
+}
+
+impl<'a> PairSink<'a> {
+    fn new(cli: &'a Cli) -> Self {
+        let mut est = match &cli.resume {
+            Some(path) => {
+                let raw = std::fs::read(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
+                let mut est = ImplicationEstimator::from_bytes(bytes::Bytes::from(raw))
+                    .unwrap_or_else(|e| die(&format!("{path}: {e}")));
+                if est.conditions() != cli.config.conditions_ref() {
+                    die("snapshot was built with different implication conditions");
+                }
+                // A snapshot restores against an unlimited budget; re-arm
+                // the requested ceiling before ingestion continues.
+                est.set_memory_budget(cli.config.memory_budget_limit());
+                est
+            }
+            None => cli.config.build(),
+        };
+        if cli.trace_out.is_some() {
+            est.set_trace(TraceHandle::with_capacity(cli.trace_buffer));
+        }
+        let auditor = cli.audit.map(|cadence| {
+            let mut auditor =
+                AccuracyAuditor::new(*cli.config.conditions_ref(), cadence, cli.audit_sample);
+            auditor.set_trace(est.trace().clone());
+            auditor
+        });
+        let hasher = est.pair_hasher();
+        let engine = if cli.threads > 1 {
+            let mut sharded = ShardedEstimator::new(est, cli.threads);
+            let viewer =
+                (cli.watch.is_some() || cli.stats_interval.is_some()).then(|| sharded.reader());
+            Estimator::Lanes(Box::new(sharded), viewer)
+        } else {
+            Estimator::Inline(est)
+        };
+        Self {
+            cli,
+            engine,
+            hasher,
+            width: cli.lhs.len() + cli.rhs.len(),
+            split: cli.lhs.len(),
+            pairs: Vec::with_capacity(LINE_BATCH),
+            auditor,
+        }
+    }
+}
+
+impl Sink for PairSink<'_> {
+    fn ingest(&mut self, words: &[u64]) {
+        self.pairs.clear();
+        for row in words.chunks_exact(self.width) {
+            let (a, b) = row.split_at(self.split);
+            self.pairs.push(self.hasher.hash_pair(a, b));
+            if let Some(aud) = &mut self.auditor {
+                aud.observe(a, b);
+            }
+        }
+        match &mut self.engine {
+            Estimator::Inline(est) => est.update_hashed_batch(&self.pairs),
+            Estimator::Lanes(sharded, _) => sharded.update_hashed_batch(&self.pairs),
+        }
+    }
+
+    fn hooks(&mut self, rows: u64) {
+        let cli = self.cli;
+        match &mut self.engine {
+            Estimator::Inline(est) => {
+                if let Some(aud) = self.auditor.as_mut().filter(|a| a.due()) {
+                    let s = aud.audit(est.estimate_now().implication_count);
+                    eprintln!(
+                        "audit {} rows: exact ≈ {:.0}, estimate {:.0}, rel error {:.4}",
+                        s.position, s.exact, s.estimated, s.rel_error
+                    );
+                }
+                if at(cli.stats_interval, rows) {
+                    eprintln!("{}", stats_emission(est.metrics(), cli.stats_format));
+                }
+                if at(cli.watch, rows) {
+                    let e = est.estimate_now();
+                    eprintln!(
+                        "{rows} rows: answer ≈ {:.0} (S {:.0}, S̄ {:.0}, F0^sup {:.0})",
+                        cli.answer(&e),
+                        e.implication_count,
+                        e.non_implication_count,
+                        e.f0_sup
+                    );
+                }
+            }
+            Estimator::Lanes(sharded, viewer) => {
+                if at(cli.stats_interval, rows) {
+                    // Publish a fresh view instead of barriering: the
+                    // lanes keep ingesting, and the emission carries the
+                    // view.* gauges (epoch, published tuples, age) that
+                    // say how far the published prefix trails the stream.
+                    sharded.publish();
+                    eprintln!("{}", stats_emission(sharded.metrics(), cli.stats_format));
+                }
+                if at(cli.watch, rows) {
+                    sharded.publish();
+                    let viewer = viewer.as_ref().expect("reader created for --watch");
+                    let e = viewer.estimate();
+                    eprintln!(
+                        "{rows} rows routed, {} applied: S ≈ {:.0}, S̄ ≈ {:.0}, F0^sup ≈ {:.0}",
+                        viewer.tuples(),
+                        e.implication_count,
+                        e.non_implication_count,
+                        e.f0_sup
+                    );
+                }
+            }
+        }
+    }
+
+    fn finish(self, rows: u64, skipped: u64) {
+        let cli = self.cli;
+        let est = match self.engine {
+            Estimator::Inline(est) => est,
+            Estimator::Lanes(sharded, _) => sharded.finish(),
+        };
+        if let Some(aud) = &self.auditor {
+            match aud.final_error() {
+                Some(err) => eprintln!(
+                    "audit: {} samples over {} rows, {} shadowed itemsets, final rel error {err:.4}",
+                    aud.samples().len(),
+                    aud.rows_seen(),
+                    aud.shadowed_keys(),
+                ),
+                None => eprintln!(
+                    "audit: no samples ({} rows < cadence {})",
+                    aud.rows_seen(),
+                    aud.cadence()
+                ),
+            }
+        }
+        let e = est.estimate_now();
+        println!("{:.0}", cli.answer(&e));
+        eprintln!(
+            "rows {rows} (skipped {skipped}) | conditions {} | S ≈ {:.0}, S̄ ≈ {:.0}, \
+             F0^sup ≈ {:.0} | {} tracking entries",
+            est.conditions(),
+            e.implication_count,
+            e.non_implication_count,
+            e.f0_sup,
+            est.entries()
+        );
+        if let Some(path) = &cli.save {
+            let bytes = est.to_bytes();
+            let mut f =
+                std::fs::File::create(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
+            f.write_all(&bytes)
+                .unwrap_or_else(|e| die(&format!("{path}: {e}")));
+            eprintln!("snapshot: wrote {} bytes to {path}", bytes.len());
+        }
+        // After --save, so the journal includes the snapshot-encode span
+        // and the report the encode counters.
+        if let Some(path) = &cli.trace_out {
+            write_trace(path, est.trace());
+        }
+        if cli.stats {
+            eprintln!("{}", est.metrics().report().trim_end());
+        }
+    }
 }
 
 /// Exact reference counters for one query during `--audit`.
@@ -578,532 +824,205 @@ impl CatalogAudit {
     }
 }
 
-/// Catalog mode: registers every `--query-file` query in one
-/// [`QueryCatalog`] and answers all of them in a single pass. Rows are
-/// hashed whole (every column becomes one tuple attribute), batched, and
-/// fed query-major; `--watch`, `--stats`, `--stats-interval`, `--audit`
-/// and `--trace-out` all operate per query.
-fn run_catalog(cli: &Cli) {
-    let arity = 1 + cli
-        .queries
-        .iter()
-        .map(|q| q.max_column())
-        .max()
-        .expect("parse_query_file rejects empty catalogs");
-    let schema = Schema::new((0..arity).map(|i| (format!("c{i}"), 0)));
+/// The catalog engine: inline (`--threads 1`) or its queries spread
+/// over lanes, with one published-view reader per query.
+enum Catalog {
+    Inline(QueryCatalog),
+    Lanes(ShardedCatalog, Vec<EstimateReader>),
+}
 
-    let mut catalog = QueryCatalog::new(&schema, cli.config);
-    if cli.trace_out.is_some() {
-        catalog.set_trace(TraceHandle::with_capacity(cli.trace_buffer));
-    }
-    for q in &cli.queries {
-        if let Err(e) = catalog.try_register(q.name.clone(), q.query.clone()) {
-            die(&format!("query {:?}: {e}", q.name));
-        }
-    }
-    let ids: Vec<_> = cli
-        .queries
-        .iter()
-        .map(|q| catalog.find(&q.name).expect("just registered"))
-        .collect();
-    let mut audits: Vec<CatalogAudit> = if cli.audit.is_some() {
-        cli.queries
+/// Catalog sink (`--query-file`). Every row is hashed whole (column `i`
+/// becomes tuple attribute `i`) into one [`HashedBatch`] per batch, and
+/// every registered query answers from it; `--watch`, `--stats`,
+/// `--stats-interval`, `--audit` and `--trace-out` operate per query.
+struct CatalogSink<'a> {
+    cli: &'a Cli,
+    engine: Catalog,
+    ids: Vec<QueryId>,
+    hasher: TupleHasher,
+    hashed: HashedBatch,
+    arity: usize,
+    audits: Vec<CatalogAudit>,
+}
+
+impl<'a> CatalogSink<'a> {
+    fn new(cli: &'a Cli) -> Self {
+        let arity = 1 + cli
+            .queries
             .iter()
-            .map(|q| CatalogAudit {
-                exact: ExactCounter::new(q.query.conditions),
-                buf_a: Vec::new(),
-                buf_b: Vec::new(),
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-
-    let field_hasher = MixHasher::new(FIELD_HASHER_SEED);
-    let reader = open_input(cli);
-    let mut batch: Vec<Tuple> = Vec::new();
-    let mut vals: Vec<u64> = Vec::with_capacity(arity);
-    let mut rows = 0u64;
-    let mut skipped = 0u64;
-    let flush = |catalog: &mut QueryCatalog, batch: &mut Vec<Tuple>| {
-        catalog.process_batch(batch);
-        batch.clear();
-    };
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(e) => die(&format!("read error: {e}")),
-        };
-        if line.is_empty() || line.starts_with('#') {
-            continue;
+            .map(|q| q.max_column())
+            .max()
+            .expect("parse_query_file rejects empty catalogs");
+        let schema = Schema::new((0..arity).map(|i| (format!("c{i}"), 0)));
+        let mut catalog = QueryCatalog::new(&schema, cli.config);
+        if cli.trace_out.is_some() {
+            catalog.set_trace(TraceHandle::with_capacity(cli.trace_buffer));
         }
-        let fields = split_line(&line, cli.delimiter);
-        if fields.len() < arity {
-            skipped += 1;
-            continue;
+        for q in &cli.queries {
+            if let Err(e) = catalog.try_register(q.name.clone(), q.query.clone()) {
+                die(&format!("query {:?}: {e}", q.name));
+            }
         }
-        vals.clear();
-        vals.extend(
-            fields[..arity]
+        let ids: Vec<_> = cli
+            .queries
+            .iter()
+            .map(|q| catalog.find(&q.name).expect("just registered"))
+            .collect();
+        let audits = match cli.audit {
+            Some(_) => cli
+                .queries
                 .iter()
-                .map(|f| implicate::text::hash_field(&field_hasher, f)),
-        );
-        let t = Tuple::new(vals.as_slice());
-        if !audits.is_empty() {
-            for (q, audit) in cli.queries.iter().zip(&mut audits) {
-                audit.observe(q, &t);
+                .map(|q| CatalogAudit {
+                    exact: ExactCounter::new(q.query.conditions),
+                    buf_a: Vec::new(),
+                    buf_b: Vec::new(),
+                })
+                .collect(),
+            None => Vec::new(),
+        };
+        let hasher = catalog.hasher().clone();
+        let (engine, hashed) = if cli.threads > 1 {
+            let mut sharded = ShardedCatalog::new(catalog, cli.threads);
+            let viewers = ids
+                .iter()
+                .map(|id| sharded.reader(*id).expect("live query"))
+                .collect();
+            let hashed = sharded.checkout();
+            (Catalog::Lanes(sharded, viewers), hashed)
+        } else {
+            (Catalog::Inline(catalog), HashedBatch::new())
+        };
+        Self {
+            cli,
+            engine,
+            ids,
+            hasher,
+            hashed,
+            arity,
+            audits,
+        }
+    }
+}
+
+impl Sink for CatalogSink<'_> {
+    fn ingest(&mut self, words: &[u64]) {
+        let mut tuples = self.hashed.recycle();
+        tuples.extend(words.chunks_exact(self.arity).map(Tuple::new));
+        for t in &tuples {
+            for (q, audit) in self.cli.queries.iter().zip(&mut self.audits) {
+                audit.observe(q, t);
             }
         }
-        batch.push(t);
-        rows += 1;
-        if batch.len() >= LINE_BATCH {
-            flush(&mut catalog, &mut batch);
+        self.hasher.hash_batch(tuples, &mut self.hashed);
+        match &mut self.engine {
+            Catalog::Inline(catalog) => catalog.process_hashed(&self.hashed),
+            Catalog::Lanes(sharded, _) => {
+                self.hashed = sharded.process_hashed(std::mem::take(&mut self.hashed));
+            }
         }
-        let boundary = |n: Option<u64>| n.is_some_and(|n| rows.is_multiple_of(n));
-        if boundary(cli.audit) {
-            flush(&mut catalog, &mut batch);
-            for ((q, id), audit) in cli.queries.iter().zip(&ids).zip(&audits) {
-                let exact = audit.answer(q.query.kind);
-                let est = catalog.answer(*id).expect("live query");
-                let rel = if exact == 0.0 {
-                    if est == 0.0 {
-                        0.0
-                    } else {
-                        f64::INFINITY
+    }
+
+    fn hooks(&mut self, rows: u64) {
+        let cli = self.cli;
+        match &mut self.engine {
+            Catalog::Inline(catalog) => {
+                let queries = cli.queries.iter().zip(&self.ids);
+                if at(cli.audit, rows) {
+                    for ((q, id), audit) in queries.clone().zip(&self.audits) {
+                        let exact = audit.answer(q.query.kind);
+                        let est = catalog.answer(*id).expect("live query");
+                        let rel = relative_error(exact, est);
+                        eprintln!(
+                            "audit {rows} rows [{}]: exact ≈ {exact:.0}, estimate {est:.0}, \
+                             rel error {rel:.4}",
+                            q.name
+                        );
                     }
-                } else {
-                    (exact - est).abs() / exact
-                };
-                eprintln!(
-                    "audit {rows} rows [{}]: exact ≈ {exact:.0}, estimate {est:.0}, \
-                     rel error {rel:.4}",
-                    q.name
-                );
+                }
+                if at(cli.stats_interval, rows) {
+                    let mut text = String::new();
+                    catalog.prometheus_into("implicate", &mut text);
+                    eprintln!("{}", text.trim_end());
+                }
+                if at(cli.watch, rows) {
+                    for (q, id) in queries {
+                        eprintln!(
+                            "{rows} rows [{}]: answer ≈ {:.0} ({} matched)",
+                            q.name,
+                            catalog.answer(*id).expect("live query"),
+                            catalog.matched(*id).expect("live query"),
+                        );
+                    }
+                }
+            }
+            Catalog::Lanes(sharded, viewers) => {
+                if !at(cli.stats_interval, rows) && !at(cli.watch, rows) {
+                    return;
+                }
+                // Publish, then barrier: the lanes publish at their
+                // message boundary, and the barrier settles the views at
+                // exactly this row — the sequential run's numbers.
+                sharded.publish();
+                sharded.barrier();
+                let queries = cli.queries.iter().zip(viewers.iter());
+                if at(cli.stats_interval, rows) {
+                    for (q, viewer) in queries.clone() {
+                        eprintln!(
+                            "implicate_query_tuples{{query=\"{}\"}} {}",
+                            q.name,
+                            viewer.tuples()
+                        );
+                        eprintln!(
+                            "implicate_query_answer{{query=\"{}\"}} {}",
+                            q.name,
+                            q.query.answer_from(&viewer.estimate())
+                        );
+                    }
+                }
+                if at(cli.watch, rows) {
+                    for (q, viewer) in queries {
+                        eprintln!(
+                            "{rows} rows [{}]: answer ≈ {:.0} ({} matched)",
+                            q.name,
+                            q.query.answer_from(&viewer.estimate()),
+                            viewer.tuples(),
+                        );
+                    }
+                }
             }
         }
-        if boundary(cli.stats_interval) {
-            flush(&mut catalog, &mut batch);
+    }
+
+    fn finish(self, rows: u64, skipped: u64) {
+        let cli = self.cli;
+        let (catalog, lanes) = match self.engine {
+            Catalog::Inline(catalog) => (catalog, String::new()),
+            Catalog::Lanes(sharded, _) => {
+                (sharded.finish(), format!(" over {} lanes", cli.threads))
+            }
+        };
+        for (q, id) in cli.queries.iter().zip(&self.ids) {
+            println!(
+                "{}\t{:.0}",
+                q.name,
+                catalog.answer(*id).expect("live query")
+            );
+        }
+        eprintln!(
+            "rows {rows} (skipped {skipped}) | {} queries{lanes}, one pass | \
+             {} tracked bytes on one budget",
+            catalog.len(),
+            catalog.tracked_bytes()
+        );
+        if let Some(path) = &cli.trace_out {
+            write_trace(path, catalog.trace());
+        }
+        if cli.stats {
             let mut text = String::new();
             catalog.prometheus_into("implicate", &mut text);
             eprintln!("{}", text.trim_end());
         }
-        if boundary(cli.watch) {
-            flush(&mut catalog, &mut batch);
-            for (q, id) in cli.queries.iter().zip(&ids) {
-                eprintln!(
-                    "{rows} rows [{}]: answer ≈ {:.0} ({} matched)",
-                    q.name,
-                    catalog.answer(*id).expect("live query"),
-                    catalog.matched(*id).expect("live query"),
-                );
-            }
-        }
     }
-    flush(&mut catalog, &mut batch);
-
-    for (q, id) in cli.queries.iter().zip(&ids) {
-        println!(
-            "{}\t{:.0}",
-            q.name,
-            catalog.answer(*id).expect("live query")
-        );
-    }
-    eprintln!(
-        "rows {rows} (skipped {skipped}) | {} queries, one pass | {} tracked bytes on one budget",
-        catalog.len(),
-        catalog.tracked_bytes()
-    );
-    if let Some(path) = &cli.trace_out {
-        write_trace(path, catalog.trace());
-    }
-    if cli.stats {
-        let mut text = String::new();
-        catalog.prometheus_into("implicate", &mut text);
-        eprintln!("{}", text.trim_end());
-    }
-}
-
-/// Catalog mode under `--threads N`: the *queries* are partitioned over
-/// N worker lanes ([`ShardedCatalog`]), every lane sees every tuple as a
-/// shared pre-hashed batch, and per-query answers stay bit-identical to
-/// the single-threaded catalog. The main thread parses and hashes
-/// (attribute-wise, once); workers run the per-query combine + estimator
-/// passes. `--watch` and `--stats-interval` read per-query published
-/// views at settled boundaries (publish, then barrier), so their
-/// emissions match the sequential run's numbers exactly.
-fn run_catalog_parallel(cli: &Cli) {
-    let arity = 1 + cli
-        .queries
-        .iter()
-        .map(|q| q.max_column())
-        .max()
-        .expect("parse_query_file rejects empty catalogs");
-    let schema = Schema::new((0..arity).map(|i| (format!("c{i}"), 0)));
-
-    let mut catalog = QueryCatalog::new(&schema, cli.config);
-    if cli.trace_out.is_some() {
-        catalog.set_trace(TraceHandle::with_capacity(cli.trace_buffer));
-    }
-    for q in &cli.queries {
-        if let Err(e) = catalog.try_register(q.name.clone(), q.query.clone()) {
-            die(&format!("query {:?}: {e}", q.name));
-        }
-    }
-    let ids: Vec<_> = cli
-        .queries
-        .iter()
-        .map(|q| catalog.find(&q.name).expect("just registered"))
-        .collect();
-    let mut sharded = ShardedCatalog::new(catalog, cli.threads);
-    let viewers: Vec<_> = ids
-        .iter()
-        .map(|id| sharded.reader(*id).expect("live query"))
-        .collect();
-    let tuple_hasher = sharded.hasher().clone();
-
-    let field_hasher = MixHasher::new(FIELD_HASHER_SEED);
-    let reader = open_input(cli);
-    let mut hashed = sharded.checkout();
-    let mut tuples = hashed.recycle();
-    let mut vals: Vec<u64> = Vec::with_capacity(arity);
-    let mut rows = 0u64;
-    let mut skipped = 0u64;
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(e) => die(&format!("read error: {e}")),
-        };
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let fields = split_line(&line, cli.delimiter);
-        if fields.len() < arity {
-            skipped += 1;
-            continue;
-        }
-        vals.clear();
-        vals.extend(
-            fields[..arity]
-                .iter()
-                .map(|f| implicate::text::hash_field(&field_hasher, f)),
-        );
-        tuples.push(Tuple::new(vals.as_slice()));
-        rows += 1;
-        let boundary = |n: Option<u64>| n.is_some_and(|n| rows.is_multiple_of(n));
-        let at_boundary = boundary(cli.stats_interval) || boundary(cli.watch);
-        if tuples.len() >= LINE_BATCH || at_boundary {
-            tuple_hasher.hash_batch(std::mem::take(&mut tuples), &mut hashed);
-            hashed = sharded.process_hashed(hashed);
-            tuples = hashed.recycle();
-        }
-        if at_boundary {
-            // Publish, then barrier: the lanes publish at their message
-            // boundary, and the barrier guarantees the views are settled
-            // at exactly this row — same numbers as the sequential run.
-            sharded.publish();
-            sharded.barrier();
-        }
-        if boundary(cli.stats_interval) {
-            for (q, viewer) in cli.queries.iter().zip(&viewers) {
-                eprintln!(
-                    "implicate_query_tuples{{query=\"{}\"}} {}",
-                    q.name,
-                    viewer.tuples()
-                );
-                eprintln!(
-                    "implicate_query_answer{{query=\"{}\"}} {}",
-                    q.name,
-                    q.query.answer_from(&viewer.estimate())
-                );
-            }
-        }
-        if boundary(cli.watch) {
-            for (q, viewer) in cli.queries.iter().zip(&viewers) {
-                eprintln!(
-                    "{rows} rows [{}]: answer ≈ {:.0} ({} matched)",
-                    q.name,
-                    q.query.answer_from(&viewer.estimate()),
-                    viewer.tuples(),
-                );
-            }
-        }
-    }
-    if !tuples.is_empty() {
-        tuple_hasher.hash_batch(tuples, &mut hashed);
-        let _ = sharded.process_hashed(hashed);
-    }
-    let catalog = sharded.finish();
-
-    for (q, id) in cli.queries.iter().zip(&ids) {
-        println!(
-            "{}\t{:.0}",
-            q.name,
-            catalog.answer(*id).expect("live query")
-        );
-    }
-    eprintln!(
-        "rows {rows} (skipped {skipped}) | {} queries over {} lanes, one pass | \
-         {} tracked bytes on one budget",
-        catalog.len(),
-        cli.threads,
-        catalog.tracked_bytes()
-    );
-    if let Some(path) = &cli.trace_out {
-        write_trace(path, catalog.trace());
-    }
-    if cli.stats {
-        let mut text = String::new();
-        catalog.prometheus_into("implicate", &mut text);
-        eprintln!("{}", text.trim_end());
-    }
-}
-
-/// Hashes the selected columns of a row into fingerprint words. Field
-/// hashing is allocation-free (`implicate::text::hash_field`), so steady
-/// state touches the heap only when a line out-sizes the reused buffers.
-fn project(fields: &[&str], cols: &[usize], hasher: &MixHasher, out: &mut Vec<u64>) -> bool {
-    out.clear();
-    for &c in cols {
-        match fields.get(c) {
-            Some(f) => out.push(implicate::text::hash_field(hasher, f)),
-            None => return false,
-        }
-    }
-    true
-}
-
-/// Splits a line into trimmed fields.
-fn split_line(line: &str, delimiter: Option<char>) -> Vec<&str> {
-    match delimiter {
-        Some(d) => line.split(d).map(str::trim).collect(),
-        None => line.split_whitespace().collect(),
-    }
-}
-
-fn open_input(cli: &Cli) -> Box<dyn BufRead> {
-    match &cli.input {
-        Some(path) => {
-            let file = std::fs::File::open(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-            Box::new(std::io::BufReader::new(file))
-        }
-        None => Box::new(std::io::stdin().lock()),
-    }
-}
-
-/// Builds the online accuracy auditor when `--audit` is set, sharing the
-/// estimator's trace handle so audit samples land in the same journal.
-fn make_auditor(cli: &Cli, est: &ImplicationEstimator) -> Option<AccuracyAuditor> {
-    cli.audit.map(|cadence| {
-        let mut auditor =
-            AccuracyAuditor::new(*cli.config.conditions_ref(), cadence, cli.audit_sample);
-        auditor.set_trace(est.trace().clone());
-        auditor
-    })
-}
-
-/// Single-threaded ingestion; returns `(estimator, rows, skipped)`.
-fn run_sequential(
-    cli: &Cli,
-    mut est: ImplicationEstimator,
-    field_hasher: &MixHasher,
-) -> (ImplicationEstimator, u64, u64) {
-    let reader = open_input(cli);
-    let (mut buf_a, mut buf_b) = (Vec::new(), Vec::new());
-    let mut auditor = make_auditor(cli, &est);
-    let mut rows = 0u64;
-    let mut skipped = 0u64;
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(e) => die(&format!("read error: {e}")),
-        };
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let fields = split_line(&line, cli.delimiter);
-        let ok = project(&fields, &cli.lhs, field_hasher, &mut buf_a)
-            && project(&fields, &cli.rhs, field_hasher, &mut buf_b);
-        if !ok {
-            skipped += 1;
-            continue;
-        }
-        est.update(&buf_a, &buf_b);
-        rows += 1;
-        if let Some(aud) = auditor.as_mut() {
-            aud.observe(&buf_a, &buf_b);
-            if aud.due() {
-                let s = aud.audit(est.estimate_now().implication_count);
-                eprintln!(
-                    "audit {} rows: exact ≈ {:.0}, estimate {:.0}, rel error {:.4}",
-                    s.position, s.exact, s.estimated, s.rel_error
-                );
-            }
-        }
-        if cli.stats_interval.is_some_and(|n| rows.is_multiple_of(n)) {
-            eprintln!("{}", stats_emission(est.metrics(), cli.stats_format));
-        }
-        if cli.watch.is_some_and(|w| rows.is_multiple_of(w)) {
-            let e = est.estimate_now();
-            let answer = if cli.complement {
-                e.non_implication_count
-            } else {
-                e.implication_count
-            };
-            eprintln!(
-                "{rows} rows: answer ≈ {answer:.0} (S {:.0}, S̄ {:.0}, F0^sup {:.0})",
-                e.implication_count, e.non_implication_count, e.f0_sup
-            );
-        }
-    }
-    if let Some(aud) = &auditor {
-        match aud.final_error() {
-            Some(err) => eprintln!(
-                "audit: {} samples over {} rows, {} shadowed itemsets, final rel error {err:.4}",
-                aud.samples().len(),
-                aud.rows_seen(),
-                aud.shadowed_keys(),
-            ),
-            None => eprintln!(
-                "audit: no samples ({} rows < cadence {})",
-                aud.rows_seen(),
-                aud.cadence()
-            ),
-        }
-    }
-    (est, rows, skipped)
-}
-
-/// One parser's output for one line batch.
-struct ParsedBatch {
-    pairs: Vec<(u64, u64)>,
-    rows: u64,
-    skipped: u64,
-}
-
-/// Parallel ingestion: the main thread reads line batches and deals them
-/// round-robin to `threads` parser workers; a router thread collects the
-/// parsed batches *in dealing order* — restoring stream order — and
-/// feeds a [`ShardedEstimator`], which preserves per-bitmap update order
-/// (see the `imp_core::parallel` docs). The result is therefore
-/// bit-identical to `--threads 1`. `--watch` reports row counts only in
-/// this mode (a mid-stream estimate would force a pipeline barrier).
-fn run_parallel(
-    cli: &Cli,
-    est: ImplicationEstimator,
-    field_hasher: &MixHasher,
-) -> (ImplicationEstimator, u64, u64) {
-    let threads = cli.threads;
-    let sharded = ShardedEstimator::new(est, threads);
-    let pair_hasher = sharded.pair_hasher();
-    let field_hasher = *field_hasher;
-    let reader = open_input(cli);
-    std::thread::scope(|scope| {
-        let mut line_txs = Vec::with_capacity(threads);
-        let mut parsed_rxs = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let (line_tx, line_rx) = sync_channel::<Vec<String>>(PIPE_DEPTH);
-            let (parsed_tx, parsed_rx) = sync_channel::<ParsedBatch>(PIPE_DEPTH);
-            line_txs.push(line_tx);
-            parsed_rxs.push(parsed_rx);
-            let (lhs, rhs, delimiter) = (&cli.lhs, &cli.rhs, cli.delimiter);
-            scope.spawn(move || {
-                let (mut buf_a, mut buf_b) = (Vec::new(), Vec::new());
-                while let Ok(lines) = line_rx.recv() {
-                    let mut out = ParsedBatch {
-                        pairs: Vec::with_capacity(lines.len()),
-                        rows: 0,
-                        skipped: 0,
-                    };
-                    for line in &lines {
-                        if line.is_empty() || line.starts_with('#') {
-                            continue;
-                        }
-                        let fields = split_line(line, delimiter);
-                        let ok = project(&fields, lhs, &field_hasher, &mut buf_a)
-                            && project(&fields, rhs, &field_hasher, &mut buf_b);
-                        if !ok {
-                            out.skipped += 1;
-                            continue;
-                        }
-                        out.pairs.push(pair_hasher.hash_pair(&buf_a, &buf_b));
-                        out.rows += 1;
-                    }
-                    if parsed_tx.send(out).is_err() {
-                        return;
-                    }
-                }
-            });
-        }
-        let watch = cli.watch;
-        let stats_interval = cli.stats_interval;
-        let stats_format = cli.stats_format;
-        let router = scope.spawn(move || {
-            let mut sharded = sharded;
-            let viewer = (watch.is_some() || stats_interval.is_some()).then(|| sharded.reader());
-            let (mut rows, mut skipped) = (0u64, 0u64);
-            'drain: loop {
-                // Same cyclic order the reader deals batches in, so
-                // pairs reach the shards in stream order.
-                for parsed_rx in &parsed_rxs {
-                    let Ok(batch) = parsed_rx.recv() else {
-                        break 'drain;
-                    };
-                    let before = rows;
-                    sharded.update_hashed_batch(&batch.pairs);
-                    rows += batch.rows;
-                    skipped += batch.skipped;
-                    if let Some(n) = stats_interval {
-                        if rows / n > before / n {
-                            // Publish a fresh view instead of barriering:
-                            // the lanes keep ingesting, and the emission
-                            // carries the view.* gauges (epoch, published
-                            // tuples, age) that say exactly how far the
-                            // published prefix trails the routed stream.
-                            sharded.publish();
-                            eprintln!("{}", stats_emission(sharded.metrics(), stats_format));
-                        }
-                    }
-                    if let Some(w) = watch {
-                        if rows / w > before / w {
-                            sharded.publish();
-                            let viewer = viewer.as_ref().expect("reader created");
-                            let e = viewer.estimate();
-                            eprintln!(
-                                "{rows} rows routed, {} applied: S ≈ {:.0}, S̄ ≈ {:.0}, \
-                                 F0^sup ≈ {:.0}",
-                                viewer.tuples(),
-                                e.implication_count,
-                                e.non_implication_count,
-                                e.f0_sup
-                            );
-                        }
-                    }
-                }
-            }
-            (sharded.finish(), rows, skipped)
-        });
-        let mut batch = Vec::with_capacity(LINE_BATCH);
-        let mut dealt = 0usize;
-        for line in reader.lines() {
-            let line = match line {
-                Ok(l) => l,
-                Err(e) => die(&format!("read error: {e}")),
-            };
-            batch.push(line);
-            if batch.len() >= LINE_BATCH {
-                let full = std::mem::replace(&mut batch, Vec::with_capacity(LINE_BATCH));
-                if line_txs[dealt % threads].send(full).is_err() {
-                    break;
-                }
-                dealt += 1;
-            }
-        }
-        if !batch.is_empty() {
-            let _ = line_txs[dealt % threads].send(batch);
-        }
-        drop(line_txs);
-        router.join().expect("router thread panicked")
-    })
 }
 
 /// Writes the trace journal as JSONL. With the `trace` feature compiled
@@ -1125,70 +1044,12 @@ fn write_trace(path: &str, trace: &TraceHandle) {
 
 fn main() {
     let cli = parse_cli();
-    if !cli.queries.is_empty() {
-        if cli.threads > 1 {
-            run_catalog_parallel(&cli);
-        } else {
-            run_catalog(&cli);
-        }
-        return;
-    }
-    let mut est = match &cli.resume {
-        Some(path) => {
-            let raw = std::fs::read(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-            ImplicationEstimator::from_bytes(bytes::Bytes::from(raw))
-                .unwrap_or_else(|e| die(&format!("{path}: {e}")))
-        }
-        None => cli.config.build(),
-    };
-    if cli.resume.is_some() && est.conditions() != cli.config.conditions_ref() {
-        die("snapshot was built with different implication conditions");
-    }
-    if cli.resume.is_some() {
-        // A snapshot restores against an unlimited budget; re-arm the
-        // requested ceiling before ingestion continues.
-        est.set_memory_budget(cli.config.memory_budget_limit());
-    }
-    if cli.trace_out.is_some() {
-        est.set_trace(TraceHandle::with_capacity(cli.trace_buffer));
-    }
-
-    let field_hasher = MixHasher::new(FIELD_HASHER_SEED);
-    let (est, rows, skipped) = if cli.threads > 1 {
-        run_parallel(&cli, est, &field_hasher)
+    if cli.queries.is_empty() {
+        let cols = [cli.lhs.as_slice(), cli.rhs.as_slice()].concat();
+        drive(&cli, &cols, PairSink::new(&cli));
     } else {
-        run_sequential(&cli, est, &field_hasher)
-    };
-
-    let e = est.estimate_now();
-    let answer = if cli.complement {
-        e.non_implication_count
-    } else {
-        e.implication_count
-    };
-    println!("{answer:.0}");
-    eprintln!(
-        "rows {rows} (skipped {skipped}) | conditions {} | S ≈ {:.0}, S̄ ≈ {:.0}, \
-         F0^sup ≈ {:.0} | {} tracking entries",
-        est.conditions(),
-        e.implication_count,
-        e.non_implication_count,
-        e.f0_sup,
-        est.entries()
-    );
-    if let Some(path) = &cli.save {
-        let bytes = est.to_bytes();
-        let mut f = std::fs::File::create(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-        f.write_all(&bytes)
-            .unwrap_or_else(|e| die(&format!("{path}: {e}")));
-        eprintln!("snapshot: wrote {} bytes to {path}", bytes.len());
-    }
-    // After --save, so the journal includes the snapshot-encode span and
-    // the report the encode counters.
-    if let Some(path) = &cli.trace_out {
-        write_trace(path, est.trace());
-    }
-    if cli.stats {
-        eprintln!("{}", est.metrics().report().trim_end());
+        let sink = CatalogSink::new(&cli);
+        let cols: Vec<usize> = (0..sink.arity).collect();
+        drive(&cli, &cols, sink);
     }
 }

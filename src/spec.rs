@@ -52,22 +52,25 @@ impl QuerySpec {
     }
 }
 
+/// Parses a comma-separated list of 0-based column numbers (each
+/// trimmed), the `--lhs`/`--rhs` syntax of both binaries.
+pub fn parse_columns(raw: &str) -> Result<Vec<usize>, String> {
+    raw.split(',')
+        .map(|c| c.trim().parse().map_err(|_| format!("bad column {c:?}")))
+        .collect()
+}
+
+/// A spec's column list: [`parse_columns`], or `-` for none, and every
+/// column below 64.
 fn parse_cols(raw: &str, side: &str) -> Result<Vec<usize>, String> {
     if raw == "-" {
         return Ok(Vec::new());
     }
-    raw.split(',')
-        .map(|c| {
-            let col: usize = c
-                .trim()
-                .parse()
-                .map_err(|_| format!("bad {side} column {c:?}"))?;
-            if col >= 64 {
-                return Err(format!("{side} column {col} out of range (max 63)"));
-            }
-            Ok(col)
-        })
-        .collect()
+    let cols = parse_columns(raw).map_err(|e| format!("{side}: {e}"))?;
+    if let Some(col) = cols.iter().find(|&&c| c >= 64) {
+        return Err(format!("{side} column {col} out of range (max 63)"));
+    }
+    Ok(cols)
 }
 
 /// Parses one spec line (which must not be empty or a comment).
@@ -199,6 +202,18 @@ mod tests {
         assert!(spec.query.filter.matches(&Tuple::from([1, 2, am])));
         assert!(!spec.query.filter.matches(&Tuple::from([1, 2, pm])));
         assert_eq!(spec.max_column(), 2);
+    }
+
+    #[test]
+    fn column_lists_parse_like_both_binaries_expect() {
+        assert_eq!(parse_columns("0"), Ok(vec![0]));
+        assert_eq!(parse_columns(" 3, 1 ,3"), Ok(vec![3, 1, 3]));
+        for bad in ["", "x", "1,,2", "-1", "0;1"] {
+            assert!(parse_columns(bad).is_err(), "{bad:?} should be rejected");
+        }
+        // The spec grammar adds `-` for none and the 64-column cap.
+        assert_eq!(parse_cols("-", "rhs"), Ok(vec![]));
+        assert!(parse_cols("63,64", "lhs").is_err());
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Proves the CLI's row-projection hot path is allocation-free: hashing
-//! a text field (`implicate::text::hash_field`, the routine `implicate`'s
-//! `project()` uses per column) must never touch the heap, and a whole
-//! projected row must not allocate once its reusable buffer is warm.
+//! Proves the text front end's hot path is allocation-free: hashing a
+//! text field (`implicate::text::hash_field`) must never touch the heap,
+//! and reading lines into field words (`implicate::text::RowReader`, the
+//! parser of both binaries) must not allocate once its buffers are warm.
 //!
 //! Isolated in its own integration-test binary because the counting
 //! `#[global_allocator]` is process-wide.
@@ -10,7 +10,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use implicate::sketch::hash::MixHasher;
-use implicate::text::hash_field;
+use implicate::text::{hash_field, Row, RowReader};
 
 struct CountingAlloc;
 
@@ -43,46 +43,52 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
-/// The CLI's projection, shape-for-shape: hash each selected field into
-/// a reused output buffer.
-fn project(fields: &[&str], cols: &[usize], hasher: &MixHasher, out: &mut Vec<u64>) -> bool {
-    out.clear();
-    for &c in cols {
-        match fields.get(c) {
-            Some(f) => out.push(hash_field(hasher, f)),
-            None => return false,
+/// Reads every row of `input`, returning (rows, skipped) and a
+/// fingerprint of the words read.
+fn read_all(reader: &mut RowReader, mut input: &[u8], words: &mut Vec<u64>) -> (u64, u64, u64) {
+    let (mut rows, mut skipped, mut acc) = (0, 0, 0);
+    loop {
+        words.clear();
+        match reader.read_row(&mut input, words).expect("UTF-8 input") {
+            Row::Fields => {
+                rows += 1;
+                acc ^= words.iter().fold(0, |x, w| x ^ w);
+            }
+            Row::Short => skipped += 1,
+            Row::End => return (rows, skipped, acc),
         }
     }
-    true
 }
 
 #[test]
-fn projecting_a_row_performs_zero_allocations() {
-    let hasher = MixHasher::new(0x00f1_e1d5);
-    let fields = [
-        "10.20.30.40",
-        "https://example.com/a/rather/long/path?session=8f2e",
-        "443",
-        "",
-        "x",
-    ];
-    let cols = [0usize, 1, 2, 3, 4];
-    let mut out = Vec::with_capacity(cols.len());
-
-    // Warm the buffer, then demand a perfectly quiet heap.
-    assert!(project(&fields, &cols, &hasher, &mut out));
-    let before = allocs_on_this_thread();
-    let mut acc = 0u64;
-    for _ in 0..10_000 {
-        assert!(project(&fields, &cols, &hasher, &mut out));
-        acc ^= out.iter().fold(0, |x, w| x ^ w);
+fn reading_rows_performs_zero_allocations() {
+    let mut text = String::new();
+    for i in 0..2_000 {
+        text.push_str(&format!(
+            "10.20.{}.{} https://example.com/a/rather/long/path?session={i} 443\r\n",
+            i % 256,
+            i / 256
+        ));
+        text.push_str("# comment\n\nshort-row\n");
     }
-    let after = allocs_on_this_thread();
-    assert_eq!(
-        after - before,
-        0,
-        "projection allocated on the hot path (fingerprint {acc:#x})"
-    );
+    let csv = text.replace(' ', " , ");
+    for (input, delimiter) in [(&text, None), (&csv, Some(','))] {
+        let mut reader = RowReader::new(&[0, 1, 2, 1], delimiter);
+        let mut words = Vec::new();
+        // Warm the line buffer and the word buffer, then demand a
+        // perfectly quiet heap over the same lines again.
+        let warm = read_all(&mut reader, input.as_bytes(), &mut words);
+        let before = allocs_on_this_thread();
+        let hot = read_all(&mut reader, input.as_bytes(), &mut words);
+        let after = allocs_on_this_thread();
+        assert_eq!(hot, warm);
+        assert_eq!((hot.0, hot.1), (2_000, 2_000));
+        assert_eq!(
+            after - before,
+            0,
+            "reading rows allocated on the hot path (delimiter {delimiter:?})"
+        );
+    }
 }
 
 #[test]

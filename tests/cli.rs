@@ -4,6 +4,10 @@ use std::io::Write;
 use std::process::{Command, Stdio};
 
 fn run_cli(args: &[&str], stdin: &str) -> (String, String, bool) {
+    run_cli_bytes(args, stdin.as_bytes())
+}
+
+fn run_cli_bytes(args: &[&str], stdin: &[u8]) -> (String, String, bool) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_implicate"))
         .args(args)
         .stdin(Stdio::piped())
@@ -15,7 +19,7 @@ fn run_cli(args: &[&str], stdin: &str) -> (String, String, bool) {
         .stdin
         .as_mut()
         .expect("stdin piped")
-        .write_all(stdin.as_bytes())
+        .write_all(stdin)
         .expect("write stdin");
     let out = child.wait_with_output().expect("wait");
     (
@@ -221,28 +225,69 @@ fn parallel_stats_interval_publishes_a_view_without_stalling_lanes() {
         .collect();
     assert!(!lines.is_empty(), "stderr: {stderr}");
     if cfg!(feature = "metrics") {
-        let emission = lines[0];
-        let field = |name: &str| -> u64 {
-            emission
-                .split([' ', ','])
-                .find_map(|kv| kv.strip_prefix(&format!("{name}=")))
-                .and_then(|v| v.trim_end_matches('i').parse::<u64>().ok())
-                .unwrap_or_else(|| panic!("no {name} in emission: {emission}"))
-        };
-        assert!(field("view.publishes") >= 1, "no publish: {emission}");
-        let published = field("view.published_tuples");
-        let age = field("view.age_rows");
-        assert!(published <= 2000, "published beyond stream: {emission}");
-        assert_eq!(
-            published + age,
-            2000,
-            "published + lag must cover every routed row: {emission}"
-        );
+        // One emission at every multiple of the interval, each covering
+        // exactly the rows routed when it was taken.
+        assert_eq!(lines.len(), 2, "stderr: {stderr}");
+        for (emission, routed) in lines.iter().zip([1000, 2000]) {
+            let field = |name: &str| -> u64 {
+                emission
+                    .split([' ', ','])
+                    .find_map(|kv| kv.strip_prefix(&format!("{name}=")))
+                    .and_then(|v| v.trim_end_matches('i').parse::<u64>().ok())
+                    .unwrap_or_else(|| panic!("no {name} in emission: {emission}"))
+            };
+            assert!(field("view.publishes") >= 1, "no publish: {emission}");
+            let published = field("view.published_tuples");
+            let age = field("view.age_rows");
+            assert!(published <= routed, "published beyond stream: {emission}");
+            assert_eq!(
+                published + age,
+                routed,
+                "published + lag must cover every routed row: {emission}"
+            );
+        }
         // The final answer still reflects every row.
         assert!(stderr.contains("rows 2000"), "stderr: {stderr}");
     } else {
         assert!(lines[0].contains("metrics_enabled=false"), "{}", lines[0]);
     }
+}
+
+/// The `--stats` report's `estimator.mem_bytes` value.
+fn mem_bytes(stderr: &str) -> u64 {
+    stderr
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("estimator.mem_bytes "))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no estimator.mem_bytes line: {stderr}"))
+}
+
+#[test]
+fn stats_mem_bytes_is_the_same_at_one_and_two_threads() {
+    // Lanes reassemble the sequential state bit for bit, so the final
+    // footprint gauge must not depend on --threads either.
+    let input = traffic(3000, 3000);
+    let run = |threads: &str| {
+        let (_, stderr, ok) = run_cli(
+            &["--lhs", "0", "--rhs", "1", "--threads", threads, "--stats"],
+            &input,
+        );
+        assert!(ok, "stderr: {stderr}");
+        stderr
+    };
+    let (one, two) = (run("1"), run("2"));
+    if cfg!(feature = "metrics") {
+        assert_eq!(mem_bytes(&one), mem_bytes(&two), "--threads 2: {two}");
+    } else {
+        assert!(two.contains("compiled out"), "stderr: {two}");
+    }
+}
+
+#[test]
+fn invalid_utf8_input_is_a_read_error() {
+    let (_, stderr, ok) = run_cli_bytes(&["--lhs", "0", "--rhs", "1"], b"a b\nc \xff\xfe d\n");
+    assert!(!ok, "invalid UTF-8 must fail the run");
+    assert!(stderr.contains("read error"), "stderr: {stderr}");
 }
 
 #[test]

@@ -99,6 +99,57 @@ fn sharded_ingestion_shares_one_registry() {
 }
 
 #[test]
+fn sharded_finish_reports_the_merged_footprint() {
+    // While the lanes run, every shard holds arenas for all bitmaps; the
+    // reassembled estimator's gauges must describe only the merged state.
+    let cond = ImplicationConditions::strict_one_to_one(1);
+    let est = EstimatorConfig::new(cond).bitmaps(32).seed(5).build();
+    let mut sharded = ShardedEstimator::new(est, 3);
+    let hasher = sharded.pair_hasher();
+    let pairs: Vec<(u64, u64)> = (0..10_000u64)
+        .map(|a| hasher.hash_pair(&[a % 2_000], &[a % 3]))
+        .collect();
+    sharded.update_hashed_batch(&pairs);
+    let est = sharded.finish();
+
+    let m = &est.metrics().estimator;
+    if MetricsRegistry::enabled() {
+        assert_eq!(m.mem_bytes.get(), est.tracked_bytes() as u64);
+        assert_eq!(m.occupancy.get(), est.entries() as u64);
+    } else {
+        assert_eq!(m.mem_bytes.get(), 0);
+    }
+}
+
+#[test]
+fn restored_estimator_gauges_match_its_state() {
+    let cond = ImplicationConditions::one_to_c(2, 0.8, 2);
+    let mut est = EstimatorConfig::new(cond).bitmaps(16).seed(11).build();
+    loyal_and_fickle(&mut est, 2_000);
+    let mut restored =
+        implicate::ImplicationEstimator::from_bytes(est.to_bytes()).expect("restore");
+
+    if MetricsRegistry::enabled() {
+        let m = &restored.metrics().estimator;
+        assert!(restored.entries() > 0);
+        assert_eq!(m.occupancy.get(), restored.entries() as u64);
+        assert_eq!(m.mem_bytes.get(), restored.tracked_bytes() as u64);
+        // Evictions after the restore decrement from the restored level
+        // instead of wrapping below zero.
+        loyal_and_fickle(&mut restored, 20_000);
+        let m = &restored.metrics().estimator;
+        assert_eq!(m.occupancy.get(), restored.entries() as u64);
+        assert!(
+            m.occupancy.peak() < 1 << 32,
+            "gauge wrapped: {}",
+            m.occupancy.peak()
+        );
+    } else {
+        assert_eq!(restored.metrics().estimator.occupancy.get(), 0);
+    }
+}
+
+#[test]
 fn snapshot_metrics_count_bytes_and_calls() {
     let cond = ImplicationConditions::one_to_c(2, 0.8, 2);
     let mut est = EstimatorConfig::new(cond).bitmaps(16).seed(11).build();
