@@ -259,6 +259,7 @@ impl QueryCatalog {
         let id = QueryId(self.next_id);
         self.next_id += 1;
         let mut est = config.build_on(self.budget.clone());
+        query.prepare(&mut est);
         est.set_trace(self.trace.clone());
         let combiner = self.hasher.combiner(query.lhs, query.rhs);
         self.entries.push(CatalogEntry {

@@ -406,6 +406,21 @@ impl ImplicationEstimator {
         self.trace = trace;
     }
 
+    /// Puts every bitmap in partnerless mode for a query with `rhs = ∅`
+    /// (see DESIGN.md, "Partnerless queries"): the NIPS fringe is never
+    /// entered, and every read-off stays bit-identical to the normal mode.
+    /// Call before the first update.
+    pub(crate) fn set_partnerless(&mut self) {
+        debug_assert!(
+            self.cond.max_multiplicity >= 1 && self.cond.top_c >= 1,
+            "partnerless mode needs K >= 1 and c >= 1, got {}",
+            self.cond
+        );
+        for bm in &mut self.bitmaps {
+            bm.set_partnerless();
+        }
+    }
+
     /// The conditions under estimation.
     pub fn conditions(&self) -> &ImplicationConditions {
         &self.cond
@@ -493,8 +508,9 @@ impl ImplicationEstimator {
         // Below this, the two grouping passes cost more than the cache
         // misses they save: the batch-size ablation (EXPERIMENTS.md) puts
         // the crossover between 1 k and 2 k rows on a large arena, and on
-        // small cache-resident arenas (e.g. a catalog query's 16-bitmap
-        // estimator fed 1024-row lanes) grouping is pure overhead.
+        // a small cache-resident one (16 bitmaps, 1024 rows) grouping is
+        // pure overhead. The CLI reads 2048-row batches, so every full
+        // batch of an unfiltered catalog query takes the grouped path.
         const GROUP_MIN: usize = 2048;
         if pairs.len() < GROUP_MIN || self.bitmaps.len() < 2 {
             for &(h_a, b_fp) in pairs {
@@ -1293,6 +1309,87 @@ mod tests {
         let mut a = bounded(one_to_one(), 16, 4, 1);
         let b = bounded(one_to_one(), 16, 4, 2);
         a.merge(&b);
+    }
+
+    /// Partnerless mode is unobservable: when every arrival carries one
+    /// constant partner, no itemset can violate for `K ≥ 1, c ≥ 1`, so
+    /// skipping the NIPS fringe leaves every read-off and decision counter
+    /// bit-identical. The chunk sizes straddle the grouped path's
+    /// threshold (`GROUP_MIN = 2048`).
+    #[test]
+    fn partnerless_mode_matches_normal_mode_on_one_partner() {
+        use crate::conditions::MultiplicityPolicy;
+        use imp_sketch::hash::mix64;
+        const B_FP: u64 = 0x5eed_0b0e_5eed_0b0e;
+        // 8192 arrivals over 2000 itemsets: repeat counts cover σ ∈ 1..=5.
+        let hasher = MixHasher::new(7);
+        let pairs: Vec<(u64, u64)> = (0..8192u64)
+            .map(|i| (hasher.hash_u64(mix64(i) % 2000), B_FP))
+            .collect();
+        let policies = [MultiplicityPolicy::Strict, MultiplicityPolicy::TrackTop];
+        for fringe in [Fringe::Bounded(4), Fringe::Unbounded] {
+            for k in 1..=4u32 {
+                for sigma in 1..=5u64 {
+                    for c in 1..=3u32 {
+                        for psi in [0.0, 0.6, 1.0] {
+                            for policy in policies {
+                                let cond = ImplicationConditions::builder()
+                                    .max_multiplicity(k)
+                                    .min_support(sigma)
+                                    .top_confidence(c, psi)
+                                    .multiplicity_policy(policy)
+                                    .build();
+                                let config = EstimatorConfig::new(cond)
+                                    .bitmaps(16)
+                                    .fringe(fringe)
+                                    .seed(5);
+                                let mut normal = config.build();
+                                let mut partnerless = config.build();
+                                partnerless.set_partnerless();
+                                let mut at = 0;
+                                for n in [1, 2047, 2048, 4096] {
+                                    normal.update_hashed_batch(&pairs[at..at + n]);
+                                    partnerless.update_hashed_batch(&pairs[at..at + n]);
+                                    at += n;
+                                    assert_partnerless_matches(&normal, &partnerless, &cond);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn assert_partnerless_matches(
+        normal: &ImplicationEstimator,
+        partnerless: &ImplicationEstimator,
+        cond: &ImplicationConditions,
+    ) {
+        let (e, p) = (normal.estimate_now(), partnerless.estimate_now());
+        assert_eq!(e.f0_sup.to_bits(), p.f0_sup.to_bits(), "{cond}");
+        assert_eq!(
+            e.non_implication_count.to_bits(),
+            p.non_implication_count.to_bits(),
+            "{cond}"
+        );
+        assert_eq!(
+            e.implication_count.to_bits(),
+            p.implication_count.to_bits(),
+            "{cond}"
+        );
+        for (n, q) in normal.bitmaps().iter().zip(partnerless.bitmaps()) {
+            assert_eq!(n.rank_f0_sup(), q.rank_f0_sup(), "{cond}");
+            assert_eq!(n.rank_non_implication(), 0, "normal mode committed: {cond}");
+            assert_eq!(q.rank_non_implication(), 0, "{cond}");
+        }
+        let (n, q) = (
+            &normal.metrics().registry().estimator,
+            &partnerless.metrics().registry().estimator,
+        );
+        assert_eq!(n.cells_committed.get(), 0, "normal mode committed: {cond}");
+        assert_eq!(q.cells_committed.get(), 0, "{cond}");
+        assert_eq!(n.dirty_total(), q.dirty_total(), "{cond}");
     }
 
     #[test]

@@ -340,6 +340,11 @@ pub struct NipsBitmap {
     top: Option<u32>,
     /// The monotone `F0^sup` side-structure (§4.4).
     support: SupportFringe,
+    /// Partnerless mode (query `rhs = ∅`): every itemset has the one
+    /// empty partner, so it can never violate and the NIPS fringe is
+    /// skipped; only the `F0^sup` side-fringe is maintained. Derived from
+    /// the query at registration, never persisted.
+    partnerless: bool,
 }
 
 impl NipsBitmap {
@@ -399,6 +404,7 @@ impl NipsBitmap {
             arena: CellArena::new(cond.max_multiplicity as usize, budget),
             top: None,
             support: SupportFringe::new(cond.min_support, policy, budget),
+            partnerless: false,
         }
     }
 
@@ -406,6 +412,15 @@ impl NipsBitmap {
     /// the same memory budget.
     pub(crate) fn fresh_like(&self) -> Self {
         Self::build_with(self.cond, self.policy, self.arena.budget())
+    }
+
+    /// Switches this bitmap to partnerless mode (see the field). Sound
+    /// only for `K ≥ 1, c ≥ 1`: an itemset with a single partner then has
+    /// multiplicity 1 ≤ K and top-`c` confidence 1 ≥ ψ, so no arrival can
+    /// ever commit a cell and skipping the fringe leaves every read-off
+    /// bit-identical.
+    pub(crate) fn set_partnerless(&mut self) {
+        self.partnerless = true;
     }
 
     /// Whether this bitmap has never recorded an arrival. Every update
@@ -461,7 +476,9 @@ impl NipsBitmap {
         out.certified = certified;
         out.evictions += support_evictions;
         out.budget_sheds += support_sheds;
+        // A partnerless itemset can never violate: nothing to track.
         match self.policy.fringe {
+            _ if self.partnerless => {}
             Some(_) => self.update_bounded(i, a_key, b_fingerprint, &mut out),
             None => self.update_unbounded(i, a_key, b_fingerprint, &mut out),
         }

@@ -194,6 +194,15 @@ impl ImplicationQuery {
         self
     }
 
+    /// Readies a freshly built estimator for this query: an empty rhs
+    /// makes it partnerless (DESIGN.md §8.8). [`QueryEngine`] and the
+    /// catalog both build through here, which keeps them bit-identical.
+    pub(crate) fn prepare(&self, est: &mut ImplicationEstimator) {
+        if self.rhs.is_empty() {
+            est.set_partnerless();
+        }
+    }
+
     /// Selects this query's scalar answer out of a full three-component
     /// estimate, per its [`QueryKind`] — shared by [`QueryEngine`] and
     /// the multi-query [`catalog`](crate::catalog).
@@ -243,7 +252,8 @@ impl QueryEngine {
         );
         let hasher = TupleHasher::new(schema, tuning.hash_seed());
         let combiner = hasher.combiner(query.lhs, query.rhs);
-        let est = tuning.conditions(query.conditions).build();
+        let mut est = tuning.conditions(query.conditions).build();
+        query.prepare(&mut est);
         Self {
             query,
             hasher,
@@ -272,6 +282,13 @@ impl QueryEngine {
     /// The full three-component estimate.
     pub fn estimate(&self) -> Estimate {
         self.est.estimate_now()
+    }
+
+    /// Bytes of tracked state resident for this query — the standalone
+    /// counterpart of
+    /// [`QueryCatalog::resident_bytes`](crate::catalog::QueryCatalog::resident_bytes).
+    pub fn resident_bytes(&self) -> usize {
+        self.est.tracked_bytes()
     }
 
     /// Tuples that passed the filter.

@@ -4,7 +4,8 @@
 //! identically to a standalone [`QueryEngine`] built from the same
 //! template over the same stream. Registration order, batch boundaries,
 //! co-resident queries, and mid-stream retirement must all be
-//! unobservable.
+//! unobservable — also for empty-rhs queries, which skip the NIPS fringe
+//! and must hold the same resident bytes in both places.
 
 use proptest::prelude::*;
 
@@ -25,8 +26,8 @@ fn schema() -> Schema {
 
 /// One random query over the 3-attribute schema. The rhs mask is
 /// disjointed from the lhs (the constructors assert §3 disjointness);
-/// when nothing is left for the rhs the query degrades to a distinct
-/// count, which has no rhs at all.
+/// when nothing is left for the rhs the query keeps its kind with
+/// `B = ∅`, like a distinct count, and runs partnerless.
 fn arb_query() -> impl Strategy<Value = ImplicationQuery> {
     (
         // kind selector, lhs mask, rhs mask (masks non-empty)
@@ -43,7 +44,6 @@ fn arb_query() -> impl Strategy<Value = ImplicationQuery> {
                 let rhs_bits = rhs_bits & !lhs_bits;
                 let lhs = implicate::AttrSet::from_bits(lhs_bits);
                 let rhs = implicate::AttrSet::from_bits(rhs_bits);
-                let kind = if rhs_bits == 0 { 0 } else { kind };
                 let mut q = match kind {
                     0 => ImplicationQuery::distinct_count(lhs),
                     1 => ImplicationQuery::one_to_one(lhs, rhs, support),
@@ -62,6 +62,15 @@ fn arb_query() -> impl Strategy<Value = ImplicationQuery> {
         )
 }
 
+/// Cases per property: 24 by default, or `PROPTEST_CASES` when set (CI
+/// runs this file a second time with 256).
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(24)
+}
+
 fn tuples(raw: &[(u64, u64, u64)]) -> Vec<Tuple> {
     raw.iter()
         .map(|&(a, b, c)| Tuple::from([a, b, c]))
@@ -69,11 +78,12 @@ fn tuples(raw: &[(u64, u64, u64)]) -> Vec<Tuple> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     /// Any random catalog over any random stream answers each query
-    /// bit-identically to that query running alone, and retiring a
-    /// co-resident query mid-stream perturbs nothing.
+    /// bit-identically to that query running alone, with the same
+    /// resident bytes, and retiring a co-resident query mid-stream
+    /// perturbs nothing.
     #[test]
     fn catalog_answers_match_standalone_engines(
         queries in proptest::collection::vec(arb_query(), 1..6),
@@ -134,15 +144,22 @@ proptest! {
                 from_catalog,
                 engine.answer()
             );
+            prop_assert_eq!(
+                catalog.resident_bytes(*id),
+                Some(engine.resident_bytes()),
+                "query {} resident bytes",
+                i
+            );
         }
     }
 
     /// The `--threads N` catalog is unobservable: for any query mix,
     /// any stream, any batching (empty batches included), and any lane
     /// count, the sharded catalog answers every query — and accounts
-    /// every tuple — bit-identically to the sequential one-pass
-    /// catalog. Lanes see every batch as a shared [`HashedBatch`] over
-    /// SPSC rings, so each query replays the exact sequential path.
+    /// every tuple and every tracked byte — bit-identically to the
+    /// sequential one-pass catalog. Lanes see every batch as a shared
+    /// [`HashedBatch`] over SPSC rings, so each query replays the exact
+    /// sequential path.
     #[test]
     fn sharded_catalog_matches_sequential_for_any_lane_count(
         queries in proptest::collection::vec(arb_query(), 1..6),
@@ -181,6 +198,7 @@ proptest! {
 
         let merged = sharded.finish();
         prop_assert_eq!(merged.tuples_seen(), seq.tuples_seen());
+        prop_assert_eq!(merged.tracked_bytes(), seq.tracked_bytes());
         for (i, id) in ids.iter().enumerate() {
             prop_assert_eq!(
                 merged.answer(*id).expect("query live").to_bits(),
@@ -189,6 +207,7 @@ proptest! {
                 i,
                 threads
             );
+            prop_assert_eq!(merged.matched(*id), seq.matched(*id));
         }
     }
 

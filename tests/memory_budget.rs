@@ -7,7 +7,10 @@
 //! still holds but shed victims depend on thread interleaving (see the
 //! `imp_core::parallel` module docs).
 
-use implicate::{EstimatorConfig, ImplicationConditions, MetricsRegistry};
+use implicate::{
+    EstimatorConfig, ImplicationConditions, ImplicationQuery, MetricsRegistry, QueryCatalog,
+    Schema, Tuple,
+};
 
 fn cond() -> ImplicationConditions {
     ImplicationConditions::one_to_c(2, 0.5, 3)
@@ -129,5 +132,97 @@ fn lifting_the_budget_resumes_growth() {
     assert!(
         est.tracked_bytes() > frozen,
         "lifting the ceiling must let arenas grow again"
+    );
+}
+
+fn src_dst() -> Schema {
+    Schema::new([("Src", 0), ("Dst", 0)])
+}
+
+/// Feeds `rows` to `catalog` in CLI-sized batches of 2048.
+fn feed(catalog: &mut QueryCatalog, rows: impl Iterator<Item = Tuple>) {
+    let rows: Vec<Tuple> = rows.collect();
+    for chunk in rows.chunks(2048) {
+        catalog.process_batch(chunk);
+    }
+}
+
+#[test]
+fn a_distinct_count_stays_at_its_construction_floor() {
+    // A distinct count has no partners to track: its σ = 1 support
+    // fringe certifies on first sight and the NIPS fringe is skipped, so
+    // no arena ever grows past its initial table.
+    let schema = src_dst();
+    let template = EstimatorConfig::new(cond()).bitmaps(64).seed(3);
+    let mut catalog = QueryCatalog::new(&schema, template);
+    let q = ImplicationQuery::distinct_count(schema.attr_set(&["Src"]));
+    let floor = template.conditions(q.conditions).construction_floor();
+    let id = catalog.register("distinct", q);
+    assert_eq!(catalog.resident_bytes(id), Some(floor));
+    feed(
+        &mut catalog,
+        (0..120_000u64).map(|a| Tuple::from([a, a % 13])),
+    );
+    assert_eq!(
+        catalog.resident_bytes(id),
+        Some(floor),
+        "120k distinct itemsets must not grow a partnerless query"
+    );
+    assert_eq!(catalog.tracked_bytes(), floor);
+    let answer = catalog.answer(id).expect("live");
+    assert!(
+        (answer - 120_000.0).abs() < 0.2 * 120_000.0,
+        "distinct count {answer}"
+    );
+}
+
+#[test]
+fn a_distinct_count_takes_no_budget_from_its_neighbours() {
+    // Under a squeezed shared budget, a co-resident distinct count costs
+    // a one-to-one query exactly the distinct count's construction floor:
+    // the one-to-one query sheds no more than it does alone in a catalog
+    // whose limit is smaller by that floor.
+    let schema = src_dst();
+    let template = EstimatorConfig::new(cond()).bitmaps(16).seed(9);
+    let distinct = ImplicationQuery::distinct_count(schema.attr_set(&["Src"]));
+    let loyal =
+        ImplicationQuery::one_to_one(schema.attr_set(&["Src"]), schema.attr_set(&["Dst"]), 2);
+    let distinct_floor = template
+        .conditions(distinct.conditions)
+        .construction_floor();
+    let loyal_floor = template.conditions(loyal.conditions).construction_floor();
+    let alone_limit = loyal_floor * 2;
+    let rows = || (0..40_000u64).map(|a| Tuple::from([a % 9_000, a % 3]));
+
+    let mut shared = QueryCatalog::new(
+        &schema,
+        template.memory_budget(alone_limit + distinct_floor),
+    );
+    shared.register("distinct", distinct);
+    let beside = shared.register("loyal", loyal.clone());
+    feed(&mut shared, rows());
+
+    let mut alone = QueryCatalog::new(&schema, template.memory_budget(alone_limit));
+    let solo = alone.register("loyal", loyal);
+    feed(&mut alone, rows());
+
+    let (beside_sheds, solo_sheds) = (
+        shared.shed_events(beside).expect("live"),
+        alone.shed_events(solo).expect("live"),
+    );
+    if MetricsRegistry::enabled() {
+        assert!(
+            solo_sheds > 0,
+            "the budget must squeeze the one-to-one query"
+        );
+    }
+    assert!(
+        beside_sheds <= solo_sheds,
+        "the distinct count pushed its neighbour into shedding: {beside_sheds} > {solo_sheds}"
+    );
+    assert_eq!(
+        shared.estimate(beside).expect("live"),
+        alone.estimate(solo).expect("live"),
+        "same headroom, same answer"
     );
 }
