@@ -38,7 +38,9 @@ fn bench_parallel_ingest(c: &mut Criterion) {
     g.bench_function("sequential_baseline", |bench| {
         bench.iter(|| {
             let mut est = config().build();
-            est.update_batch(black_box(&data));
+            for &(a, b) in black_box(&data) {
+                est.update(&[a], &[b]);
+            }
             black_box(est.estimate_now())
         });
     });
@@ -50,8 +52,8 @@ fn bench_parallel_ingest(c: &mut Criterion) {
             |bench, &threads| {
                 bench.iter(|| {
                     let mut sharded = ShardedEstimator::new(config().build(), threads);
-                    for chunk in data.chunks(4096) {
-                        sharded.update_batch(black_box(chunk));
+                    for &(a, b) in black_box(&data) {
+                        sharded.update(&[a], &[b]);
                     }
                     black_box(sharded.finish().estimate_now())
                 });

@@ -38,9 +38,7 @@
 //! [`TraceEvent::QueryRetired`].
 
 use std::fmt;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use imp_stream::hashplan::{HashedBatch, QueryCombiner, TupleHasher};
 use imp_stream::schema::Schema;
@@ -48,9 +46,10 @@ use imp_stream::tuple::Tuple;
 
 use crate::budget::MemoryBudget;
 use crate::estimator::{Estimate, EstimatorConfig, ImplicationEstimator};
+use crate::lanes::{Lane, Lanes};
+use crate::metrics::MetricsHandle;
 use crate::parallel::RING_DEPTH;
 use crate::query::ImplicationQuery;
-use crate::ring;
 use crate::trace::{TraceEvent, TraceHandle};
 use crate::view::EstimateReader;
 
@@ -667,14 +666,18 @@ impl QueryCatalog {
     }
 }
 
-/// What the router sends down a catalog lane: a shared pre-hashed batch
-/// (every lane sees every batch — queries, not tuples, are partitioned),
-/// a request to publish the lane's per-query views, or a barrier the
-/// worker acknowledges once everything before it has been applied.
-enum CatalogMsg {
-    Batch(Arc<HashedBatch>),
-    Publish,
-    Barrier(SyncSender<()>),
+/// A catalog lane owns a subset of the queries and sees every batch —
+/// queries, not tuples, are partitioned.
+impl Lane for QueryCatalog {
+    type Batch = Arc<HashedBatch>;
+
+    fn apply(&mut self, batch: Arc<HashedBatch>) {
+        self.process_hashed(&batch);
+    }
+
+    fn publish(&mut self) {
+        QueryCatalog::publish(self);
+    }
 }
 
 /// Batches the router keeps pooled for reuse once every lane has dropped
@@ -684,7 +687,8 @@ const CATALOG_POOL: usize = RING_DEPTH + 2;
 /// A `T`-way parallel front-end for a [`QueryCatalog`]: the *queries*
 /// are partitioned across `T` worker threads, and every worker sees the
 /// *whole* stream as shared [`HashedBatch`]es shipped over SPSC rings
-/// ([`crate::ring`]).
+/// ([`crate::ring`]) — the same lane runtime that runs the shards of a
+/// [`ShardedEstimator`](crate::ShardedEstimator).
 ///
 /// # Why partitioning queries is exact
 ///
@@ -714,8 +718,8 @@ pub struct ShardedCatalog {
     /// The base catalog minus its entries: schema, hasher, budget,
     /// counters — reused as the chassis of the reassembled catalog.
     shell: QueryCatalog,
-    lanes: Vec<ring::Producer<CatalogMsg>>,
-    workers: Vec<JoinHandle<QueryCatalog>>,
+    /// One worker per child catalog, each owning a subset of the queries.
+    lanes: Lanes<QueryCatalog>,
     /// One pre-minted reader per live query, in registration order.
     readers: Vec<(QueryId, String, EstimateReader)>,
     /// In-flight / reclaimable batches (reusable once strong count is 1).
@@ -759,37 +763,11 @@ impl ShardedCatalog {
             readers.push((e.id, e.name.clone(), e.est.reader()));
             children[i % threads].entries.push(e);
         }
-        let mut lanes = Vec::with_capacity(threads);
-        let mut workers = Vec::with_capacity(threads);
-        for mut child in children {
-            let (tx, rx) = ring::ring::<CatalogMsg>(RING_DEPTH);
-            lanes.push(tx);
-            workers.push(std::thread::spawn(move || {
-                loop {
-                    let msg = match rx.try_pop() {
-                        Some(msg) => msg,
-                        None => match rx.pop() {
-                            Some(msg) => msg,
-                            None => break,
-                        },
-                    };
-                    match msg {
-                        CatalogMsg::Batch(batch) => child.process_hashed(&batch),
-                        CatalogMsg::Publish => child.publish(),
-                        // FIFO lane: everything pushed before the barrier
-                        // has been applied once we get here.
-                        CatalogMsg::Barrier(ack) => {
-                            let _ = ack.send(());
-                        }
-                    }
-                }
-                child
-            }));
-        }
         Self {
             shell,
-            lanes,
-            workers,
+            // Lane counters are not exported in catalog mode, so the lanes
+            // record into a private registry.
+            lanes: Lanes::spawn(children, MetricsHandle::new()),
             readers,
             pool: Vec::new(),
             shipped: 0,
@@ -881,9 +859,8 @@ impl ShardedCatalog {
         }
         self.shipped += batch.len() as u64;
         let shared = Arc::new(batch);
-        for lane in &self.lanes {
-            lane.push(CatalogMsg::Batch(Arc::clone(&shared)))
-                .unwrap_or_else(|_| panic!("catalog worker exited early"));
+        for k in 0..self.lanes.len() {
+            self.lanes.send(k, Arc::clone(&shared));
         }
         if self.pool.len() < CATALOG_POOL {
             self.pool.push(shared);
@@ -916,10 +893,7 @@ impl ShardedCatalog {
     /// [`barrier`](Self::barrier) when a reader must observe the
     /// publication before proceeding.
     pub fn publish(&mut self) {
-        for lane in &self.lanes {
-            lane.push(CatalogMsg::Publish)
-                .unwrap_or_else(|_| panic!("catalog worker exited early"));
-        }
+        self.lanes.publish();
     }
 
     /// Blocks until every lane has applied everything routed so far.
@@ -931,19 +905,7 @@ impl ShardedCatalog {
     /// # Panics
     /// If a worker thread exited early.
     pub fn barrier(&mut self) {
-        let acks: Vec<Receiver<()>> = self
-            .lanes
-            .iter()
-            .map(|lane| {
-                let (ack_tx, ack_rx) = sync_channel(1);
-                lane.push(CatalogMsg::Barrier(ack_tx))
-                    .unwrap_or_else(|_| panic!("catalog worker exited early"));
-                ack_rx
-            })
-            .collect();
-        for ack in acks {
-            ack.recv().expect("catalog worker exited early");
-        }
+        self.lanes.barrier();
     }
 
     /// Joins the lanes and reassembles the single catalog — per-query
@@ -956,16 +918,11 @@ impl ShardedCatalog {
         let Self {
             mut shell,
             lanes,
-            workers,
             shipped,
             ..
         } = self;
-        // Dropping the producers closes the lanes: each worker drains,
-        // then its blocking pop returns `None`.
-        drop(lanes);
         let mut entries = Vec::new();
-        for worker in workers {
-            let child = worker.join().expect("catalog worker panicked");
+        for child in lanes.join() {
             debug_assert_eq!(child.tuples, shell.tuples + shipped, "lane saw every batch");
             entries.extend(child.entries);
         }

@@ -17,7 +17,6 @@
 use imp_sketch::estimate::FM_PHI;
 use imp_sketch::hash::{Hasher64, MixHasher};
 use imp_sketch::rank::split_rank;
-use imp_stream::hashplan::{HashedBatch, QueryCombiner};
 
 use crate::arena::CellArena;
 use crate::budget::{CapacityPolicy, MemoryBudget};
@@ -296,8 +295,6 @@ struct BatchScratch {
     cursor: Vec<u32>,
     /// Pairs reordered into per-bitmap runs.
     grouped: Vec<(u64, u64)>,
-    /// A query's derived `(h_a, b_fp)` lane for a [`HashedBatch`].
-    lane: Vec<(u64, u64)>,
 }
 
 impl Clone for ImplicationEstimator {
@@ -445,9 +442,11 @@ impl ImplicationEstimator {
     }
 
     /// Feeds one pre-hashed pair; `h_a` must come from a hash function
-    /// shared by all updates, `b_fp` from an independent one.
+    /// shared by all updates, `b_fp` from an independent one. The public
+    /// form is [`update_hashed_batch`](Self::update_hashed_batch); this
+    /// row step serves the catalog's filtered path and `QueryEngine`.
     #[inline]
-    pub fn update_hashed(&mut self, h_a: u64, b_fp: u64) {
+    pub(crate) fn update_hashed(&mut self, h_a: u64, b_fp: u64) {
         self.metrics.estimator.tuples.inc();
         self.update_hashed_inner(h_a, b_fp);
     }
@@ -473,20 +472,9 @@ impl ImplicationEstimator {
             .record_update(idx as u32, rank, h_a, self.tuples, &outcome);
     }
 
-    /// Feeds a batch of single-attribute `(a, b)` pairs — the fast path
-    /// for the common two-column workloads. Equivalent to calling
-    /// [`ImplicationEstimator::update`] with `(&[a], &[b])` per pair, in
-    /// order.
-    pub fn update_batch(&mut self, pairs: &[(u64, u64)]) {
-        let mut span = self.trace.span(SpanKind::UpdateBatch);
-        span.set_quantity(pairs.len() as u64);
-        for &(a, b) in pairs {
-            self.update_hashed(self.hasher_a.hash_u64(a), self.hasher_b.hash_u64(b));
-        }
-    }
-
-    /// Feeds a batch of pre-hashed pairs `(h_a, b_fp)` (see
-    /// [`ImplicationEstimator::update_hashed`] for the hashing contract).
+    /// Feeds a batch of pre-hashed pairs `(h_a, b_fp)`, as produced by
+    /// [`pair_hasher`](Self::pair_hasher): `h_a` must come from a hash
+    /// function shared by all updates, `b_fp` from an independent one.
     ///
     /// Large batches are **grouped by bitmap index** before updating:
     /// a stable two-pass counting sort scatters the pairs into per-bitmap
@@ -570,29 +558,6 @@ impl ImplicationEstimator {
         self.scratch.starts = starts;
         self.scratch.cursor = cursor;
         self.scratch.grouped = grouped;
-    }
-
-    /// Feeds a whole [`HashedBatch`] — the batch-pipeline entry point.
-    /// Derives this query's `(h_a, b_fp)` lane from the batch's shared
-    /// per-attribute hash rows by cheap combination (no re-hashing; see
-    /// [`imp_stream::hashplan`]) and runs the grouped batch update.
-    ///
-    /// `combiner` must come from a
-    /// [`TupleHasher`](imp_stream::hashplan::TupleHasher) sharing this
-    /// estimator's seed, as the catalog arranges at registration.
-    pub fn update_batch_from(&mut self, batch: &HashedBatch, combiner: &QueryCombiner) {
-        let mut lane = std::mem::take(&mut self.scratch.lane);
-        batch.combine_into(combiner, &mut lane);
-        self.update_hashed_batch(&lane);
-        self.scratch.lane = lane;
-    }
-
-    /// Pre-hashes an `(a, b)` pair exactly as [`ImplicationEstimator::update`]
-    /// would, for pipelines that hash on one thread and ingest on another
-    /// via [`ImplicationEstimator::update_hashed`].
-    #[inline]
-    pub fn hash_pair(&self, a: &[u64], b: &[u64]) -> (u64, u64) {
-        (self.hasher_a.hash_slice(a), self.hasher_b.hash_slice(b))
     }
 
     /// A copyable hasher matching this estimator's internal hash

@@ -60,6 +60,7 @@ pub mod conditions;
 pub mod estimator;
 pub mod fleet;
 pub mod incremental;
+mod lanes;
 pub mod metrics;
 pub mod nips;
 pub mod parallel;

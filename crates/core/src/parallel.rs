@@ -8,7 +8,7 @@
 //! # Why partitioning the bitmap index space is exact
 //!
 //! Every update touches exactly one of the `m` stochastic-averaging
-//! bitmaps: `update_hashed(h_a, b_fp)` routes to bitmap
+//! bitmaps: a pre-hashed pair `(h_a, b_fp)` routes to bitmap
 //! `idx = h_a mod m` and modifies no other bitmap. The estimator's state
 //! is therefore a product of `m` independent per-bitmap states, and each
 //! bitmap's final state is a function of the *subsequence* of updates
@@ -22,19 +22,14 @@
 //! *raw stream* across workers, which interleaves updates to one bitmap
 //! across threads and loses that order.
 //!
-//! # The handoff: SPSC rings, whole batches, recycled buffers
+//! # The handoff: one lane per shard, recycled buffers
 //!
-//! Each lane is a fixed-capacity single-producer/single-consumer ring
-//! ([`crate::ring`]) carrying whole batches: the router is the only
-//! producer and the shard worker the only consumer, so a handoff costs
-//! exactly one release/acquire pair — no mutex, no condvar, no
-//! read-modify-write (see the ring module docs for the Lamport-queue
-//! memory-ordering argument). Backpressure is ring occupancy: a full lane
-//! makes the router's push spin until the worker retires a slot, bounding
-//! the in-flight backlog at [`RING_DEPTH`] batches per lane. A second,
-//! reverse ring per lane returns drained batch buffers to the router, so
-//! steady-state ingestion allocates nothing: buffers circulate
-//! router → worker → router for the life of the pipeline.
+//! Each shard is one lane of the crate's lane runtime (`lanes.rs`, shared
+//! with [`ShardedCatalog`](crate::ShardedCatalog)): a worker fed whole
+//! batches over an SPSC ring ([`crate::ring`]) of [`RING_DEPTH`] slots,
+//! one release/acquire pair per handoff. A second, reverse ring per lane
+//! returns drained buffers to the router, so steady-state ingestion
+//! allocates nothing.
 //!
 //! Reassembly is merge-based: shards are merged into a fresh estimator.
 //! Because each bitmap carries non-trivial state on exactly one shard,
@@ -82,14 +77,13 @@
 //! [`ShardedEstimator::reader`]; see [`crate::view`] for the protocol.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use imp_sketch::hash::{Hasher64, MixHasher};
 use imp_sketch::rank::split_rank;
 
 use crate::estimator::ImplicationEstimator;
+use crate::lanes::{Lane, Lanes};
 use crate::metrics::MetricsHandle;
 use crate::ring;
 use crate::trace::{Span, SpanKind, TraceEvent, TraceHandle};
@@ -106,18 +100,9 @@ pub const RING_DEPTH: usize = 8;
 /// dropped just because the router briefly lags on reclaiming them.
 const RECYCLE_DEPTH: usize = RING_DEPTH + 2;
 
-/// What the router sends down a shard's lane: a batch of pre-hashed
-/// updates, or a synchronization barrier the worker acknowledges once
-/// everything before it has been applied (see
-/// [`ShardedEstimator::barrier`]).
-enum ShardMsg {
-    Batch(Vec<(u64, u64)>),
-    Barrier(SyncSender<()>),
-}
-
 /// A cheap, copyable pre-hasher matching an estimator's internal hash
 /// functions, for pipelines that parse and hash on different threads than
-/// the one feeding the [`ShardedEstimator`].
+/// the one feeding the estimator.
 #[derive(Debug, Clone, Copy)]
 pub struct PairHasher {
     hasher_a: MixHasher,
@@ -130,8 +115,9 @@ impl PairHasher {
     }
 
     /// Hashes an `(a, b)` pair exactly as
-    /// [`ImplicationEstimator::update`] would, producing arguments for
-    /// [`ShardedEstimator::update_hashed`].
+    /// [`ImplicationEstimator::update`] would, producing one item for
+    /// [`ImplicationEstimator::update_hashed_batch`] or
+    /// [`ShardedEstimator::update_hashed_batch`].
     #[inline]
     pub fn hash_pair(&self, a: &[u64], b: &[u64]) -> (u64, u64) {
         (self.hasher_a.hash_slice(a), self.hasher_b.hash_slice(b))
@@ -190,12 +176,39 @@ impl SharedRegisters {
     }
 }
 
+/// What worker `k` of `threads` owns: the shard estimator (non-trivial
+/// state only on the bitmaps `i % threads == k`), the register table it
+/// refreshes, and the reverse ring that sends drained buffers home.
+#[derive(Debug)]
+struct Shard {
+    k: usize,
+    threads: usize,
+    est: ImplicationEstimator,
+    registers: Arc<SharedRegisters>,
+    recycle: ring::Producer<Vec<(u64, u64)>>,
+}
+
+impl Lane for Shard {
+    type Batch = Vec<(u64, u64)>;
+
+    fn apply(&mut self, mut batch: Vec<(u64, u64)>) {
+        self.est.update_hashed_batch(&batch);
+        // Expose the owned bitmaps' new read-off state at this batch
+        // boundary, so the router can publish views without a barrier.
+        self.registers
+            .refresh(&self.est, self.k, self.threads, batch.len() as u64);
+        // Send the drained buffer home for reuse; if the reverse ring is
+        // full (router lagging on reclaims) just let the allocation go.
+        batch.clear();
+        let _ = self.recycle.try_push(batch);
+    }
+}
+
 /// A `T`-way sharded ingestion front-end for an [`ImplicationEstimator`].
 ///
 /// Construction consumes a base estimator (fresh or restored from a
 /// snapshot) and splits its state across `T` worker shards by bitmap
-/// index; updates are routed to the owning shard over fixed-capacity
-/// SPSC rings ([`crate::ring`]);
+/// index; updates are routed to the owning shard's worker lane;
 /// [`ShardedEstimator::finish`] joins the workers and reassembles a
 /// single estimator whose state is bit-for-bit identical to feeding the
 /// same updates sequentially into the base (see the module docs for the
@@ -203,15 +216,13 @@ impl SharedRegisters {
 #[derive(Debug)]
 pub struct ShardedEstimator {
     template: ImplicationEstimator,
-    hasher_a: MixHasher,
-    hasher_b: MixHasher,
+    hasher: PairHasher,
     log2_m: u32,
-    /// Forward rings, router → worker, one per lane.
-    lanes: Vec<ring::Producer<ShardMsg>>,
+    /// One worker per shard, fed over its forward ring.
+    lanes: Lanes<Shard>,
     /// Reverse rings, worker → router: drained batch buffers coming home
     /// for reuse, one per lane.
     recycled: Vec<ring::Consumer<Vec<(u64, u64)>>>,
-    workers: Vec<JoinHandle<ImplicationEstimator>>,
     pending: Vec<Vec<(u64, u64)>>,
     metrics: MetricsHandle,
     trace: TraceHandle,
@@ -227,10 +238,6 @@ pub struct ShardedEstimator {
     /// Tuples the base estimator carried at construction (snapshot
     /// resume); `preloaded + routed` is the router's stream position.
     preloaded: u64,
-    /// One reusable ack channel for every [`barrier`](Self::barrier):
-    /// workers send on clones of the sender (a refcount bump, no heap),
-    /// so quiesce points stay off the allocator too.
-    barrier_ack: (SyncSender<()>, Receiver<()>),
     /// The view-publication channel (created lazily, or inherited from a
     /// base writer that already had readers).
     publisher: Option<ViewPublisher>,
@@ -246,7 +253,7 @@ impl ShardedEstimator {
     pub fn new(mut base: ImplicationEstimator, threads: usize) -> Self {
         assert!(threads >= 1, "need at least one ingestion shard");
         let publisher = base.take_publisher();
-        let (hasher_a, hasher_b) = base.hashers();
+        let hasher = base.pair_hasher();
         let log2_m = base.log2_m();
         let metrics = base.metrics().clone();
         let trace = base.trace().clone();
@@ -255,73 +262,33 @@ impl ShardedEstimator {
         let template = base.fresh_like();
         let registers = Arc::new(SharedRegisters::capture(&base, threads));
         let preloaded = base.tuples_seen();
-        let shards = base.split_shards(threads);
-        let mut lanes = Vec::with_capacity(threads);
         let mut recycled = Vec::with_capacity(threads);
-        let mut workers = Vec::with_capacity(threads);
-        for (k, mut shard) in shards.into_iter().enumerate() {
-            let (tx, rx) = ring::ring::<ShardMsg>(RING_DEPTH);
-            let (recycle_tx, recycle_rx) = ring::ring::<Vec<(u64, u64)>>(RECYCLE_DEPTH);
+        let mut shards = Vec::with_capacity(threads);
+        for (k, est) in base.split_shards(threads).into_iter().enumerate() {
+            let (recycle, recycle_rx) = ring::ring::<Vec<(u64, u64)>>(RECYCLE_DEPTH);
             // Seed the reverse ring before the worker exists: the router's
             // very first ships already find buffers to reclaim, so the
             // circulating pool is born at working size (one buffer per
             // possible in-flight batch) instead of growing through
             // first-contact allocations on the hot path.
             for _ in 0..RING_DEPTH {
-                let _ = recycle_tx.try_push(Vec::with_capacity(BATCH));
+                let _ = recycle.try_push(Vec::with_capacity(BATCH));
             }
-            lanes.push(tx);
             recycled.push(recycle_rx);
-            let worker_metrics = metrics.clone();
-            let worker_registers = Arc::clone(&registers);
-            workers.push(std::thread::spawn(move || {
-                loop {
-                    // Distinguish "batch was already waiting" from "had to
-                    // block": the idle_waits counter tells a router-bound
-                    // pipeline (workers starving) from a worker-bound one.
-                    let msg = match rx.try_pop() {
-                        Some(msg) => msg,
-                        None => {
-                            worker_metrics.ingest.idle_waits.inc();
-                            match rx.pop() {
-                                Some(msg) => msg,
-                                None => break,
-                            }
-                        }
-                    };
-                    match msg {
-                        ShardMsg::Batch(mut batch) => {
-                            worker_metrics.ingest.lane(k).queue_depth.adjust(-1);
-                            shard.update_hashed_batch(&batch);
-                            // Expose the owned bitmaps' new read-off state
-                            // at this batch boundary, so the router can
-                            // publish views without a barrier.
-                            worker_registers.refresh(&shard, k, threads, batch.len() as u64);
-                            // Send the drained buffer home for reuse; if the
-                            // reverse ring is full (router lagging on
-                            // reclaims) just let the allocation go.
-                            batch.clear();
-                            let _ = recycle_tx.try_push(batch);
-                        }
-                        // FIFO lane: every batch pushed before the barrier
-                        // has been applied once we get here, so the ack
-                        // certifies this shard's state is current.
-                        ShardMsg::Barrier(ack) => {
-                            let _ = ack.send(());
-                        }
-                    }
-                }
-                shard
-            }));
+            shards.push(Shard {
+                k,
+                threads,
+                est,
+                registers: Arc::clone(&registers),
+                recycle,
+            });
         }
         Self {
             template,
-            hasher_a,
-            hasher_b,
+            hasher,
             log2_m,
-            lanes,
+            lanes: Lanes::spawn(shards, metrics.clone()),
             recycled,
-            workers,
             pending: vec![Vec::with_capacity(BATCH); threads],
             metrics,
             trace,
@@ -329,7 +296,6 @@ impl ShardedEstimator {
             ingest_span,
             registers,
             preloaded,
-            barrier_ack: sync_channel(threads),
             publisher,
         }
     }
@@ -346,23 +312,25 @@ impl ShardedEstimator {
         &self.trace
     }
 
-    /// Ships one batch to shard `shard`, maintaining the routing counters
-    /// and the in-flight queue-depth gauge.
-    fn ship(&mut self, shard: usize, batch: Vec<(u64, u64)>) {
+    /// Ships shard `shard`'s pending buffer to its lane, maintaining the
+    /// routing counters. The buffer left behind is one the worker sent
+    /// home, with its capacity, so once every lane's buffers circulate
+    /// the steady state allocates nothing.
+    fn ship(&mut self, shard: usize) {
+        let replacement = self.recycled[shard]
+            .try_pop()
+            .unwrap_or_else(|| Vec::with_capacity(BATCH));
+        let batch = std::mem::replace(&mut self.pending[shard], replacement);
         let m = &self.metrics.ingest;
         m.batches_routed.inc();
         m.updates_routed.add(batch.len() as u64);
-        let lane = m.lane(shard);
-        lane.batches.inc();
-        lane.queue_depth.adjust(1);
+        m.lane(shard).batches.inc();
         self.routed += batch.len() as u64;
         self.trace.record(|| TraceEvent::ShardHandoff {
             shard: shard as u32,
             updates: batch.len() as u32,
         });
-        self.lanes[shard]
-            .push(ShardMsg::Batch(batch))
-            .unwrap_or_else(|_| panic!("ingestion worker exited early"));
+        self.lanes.send(shard, batch);
     }
 
     /// Number of worker shards.
@@ -372,51 +340,34 @@ impl ShardedEstimator {
 
     /// A copyable hasher matching this pipeline's internal hash functions.
     pub fn pair_hasher(&self) -> PairHasher {
-        PairHasher {
-            hasher_a: self.hasher_a,
-            hasher_b: self.hasher_b,
-        }
+        self.hasher
     }
 
     /// Routes one `(a, b)` pair (value-slice form, as in
     /// [`ImplicationEstimator::update`]).
     pub fn update(&mut self, a: &[u64], b: &[u64]) {
-        self.update_hashed(self.hasher_a.hash_slice(a), self.hasher_b.hash_slice(b));
+        let (h_a, b_fp) = self.hasher.hash_pair(a, b);
+        self.route(h_a, b_fp);
     }
 
-    /// Routes a batch of single-attribute `(a, b)` pairs, in order —
-    /// the counterpart of [`ImplicationEstimator::update_batch`].
-    pub fn update_batch(&mut self, pairs: &[(u64, u64)]) {
-        for &(a, b) in pairs {
-            self.update_hashed(self.hasher_a.hash_u64(a), self.hasher_b.hash_u64(b));
+    /// Routes a batch of pre-hashed pairs, in order ([`PairHasher`]
+    /// produces conforming pairs).
+    pub fn update_hashed_batch(&mut self, pairs: &[(u64, u64)]) {
+        for &(h_a, b_fp) in pairs {
+            self.route(h_a, b_fp);
         }
     }
 
-    /// Routes one pre-hashed pair (see
-    /// [`ImplicationEstimator::update_hashed`] for the hashing contract;
-    /// [`PairHasher`] produces conforming pairs).
+    /// Buffers one pre-hashed pair for the shard owning its bitmap, and
+    /// ships the buffer once it is full.
     #[inline]
-    pub fn update_hashed(&mut self, h_a: u64, b_fp: u64) {
+    fn route(&mut self, h_a: u64, b_fp: u64) {
         let (idx, _) = split_rank(h_a, self.log2_m);
         let shard = idx % self.lanes.len();
         let buf = &mut self.pending[shard];
         buf.push((h_a, b_fp));
         if buf.len() >= BATCH {
-            // Prefer a buffer the worker sent home over a fresh allocation:
-            // once every lane's buffers are circulating, the steady state
-            // allocates nothing.
-            let replacement = self.recycled[shard]
-                .try_pop()
-                .unwrap_or_else(|| Vec::with_capacity(BATCH));
-            let batch = std::mem::replace(buf, replacement);
-            self.ship(shard, batch);
-        }
-    }
-
-    /// Routes a batch of pre-hashed pairs, in order.
-    pub fn update_hashed_batch(&mut self, pairs: &[(u64, u64)]) {
-        for &(h_a, b_fp) in pairs {
-            self.update_hashed(h_a, b_fp);
+            self.ship(shard);
         }
     }
 
@@ -427,14 +378,7 @@ impl ShardedEstimator {
         self.metrics.ingest.flushes.inc();
         for shard in 0..self.pending.len() {
             if !self.pending[shard].is_empty() {
-                // Same reclaim discipline as the full-buffer ship: leave a
-                // recycled buffer (with its capacity) behind, not an empty
-                // `Vec` whose next push would have to grow from zero.
-                let replacement = self.recycled[shard]
-                    .try_pop()
-                    .unwrap_or_else(|| Vec::with_capacity(BATCH));
-                let batch = std::mem::replace(&mut self.pending[shard], replacement);
-                self.ship(shard, batch);
+                self.ship(shard);
             }
         }
     }
@@ -453,16 +397,7 @@ impl ShardedEstimator {
     /// If a worker thread exited early.
     pub fn barrier(&mut self) {
         self.flush();
-        for lane in &self.lanes {
-            lane.push(ShardMsg::Barrier(self.barrier_ack.0.clone()))
-                .unwrap_or_else(|_| panic!("ingestion worker exited early"));
-        }
-        for _ in 0..self.lanes.len() {
-            self.barrier_ack
-                .1
-                .recv()
-                .expect("ingestion worker exited early");
-        }
+        self.lanes.barrier();
     }
 
     /// Publishes a read view assembled from the workers' lock-free
@@ -477,8 +412,7 @@ impl ShardedEstimator {
         // Stream position includes pairs still buffered in the router,
         // so `view.age_rows` reports the full backlog a barrier would
         // drain — not just what has already been shipped to the lanes.
-        let buffered: u64 = self.pending.iter().map(|b| b.len() as u64).sum();
-        let rows = self.preloaded + self.routed + buffered;
+        let rows = self.position();
         match &mut self.publisher {
             Some(publisher) => publisher.publish(view, rows),
             None => {
@@ -511,9 +445,13 @@ impl ShardedEstimator {
     /// publisher that wants fully-settled views can keep republishing
     /// until this reaches zero instead of paying for a barrier.
     pub fn backlog(&self) -> u64 {
-        let buffered: u64 = self.pending.iter().map(|b| b.len() as u64).sum();
-        let rows = self.preloaded + self.routed + buffered;
-        rows - self.registers.applied.load(Ordering::Acquire)
+        self.position() - self.registers.applied.load(Ordering::Acquire)
+    }
+
+    /// The router's stream position: preloaded, routed and still-buffered
+    /// pairs.
+    fn position(&self) -> u64 {
+        self.preloaded + self.routed + self.pending.iter().map(|b| b.len() as u64).sum::<u64>()
     }
 
     /// Assembles an unpublished view from the shared registers.
@@ -552,18 +490,13 @@ impl ShardedEstimator {
         let Self {
             template,
             lanes,
-            workers,
             ingest_span,
             publisher,
             ..
         } = self;
-        // Dropping the producers closes the lanes: each worker drains its
-        // remaining occupancy, then its blocking pop returns `None`.
-        drop(lanes);
         let mut out = template;
-        for worker in workers {
-            let shard = worker.join().expect("ingestion worker panicked");
-            out.merge(&shard);
+        for shard in lanes.join() {
+            out.merge(&shard.est);
         }
         // The shards are gone: re-anchor the gauges they last set (with
         // every shard's arenas still reserved) on the merged state.
@@ -662,15 +595,19 @@ mod tests {
     }
 
     #[test]
-    fn batch_and_hashed_entry_points_agree() {
-        let batch: Vec<(u64, u64)> = pairs(9_000).collect();
+    fn row_and_hashed_batch_entry_points_agree() {
+        let pairs: Vec<(u64, u64)> = pairs(9_000).collect();
         let mut seq = config().build();
-        seq.update_batch(&batch);
+        for &(a, b) in &pairs {
+            seq.update(&[a], &[b]);
+        }
 
         let mut sharded = ShardedEstimator::new(config().build(), 3);
-        sharded.update_batch(&batch[..4_000]);
+        for &(a, b) in &pairs[..4_000] {
+            sharded.update(&[a], &[b]);
+        }
         let hasher = sharded.pair_hasher();
-        let hashed: Vec<(u64, u64)> = batch[4_000..]
+        let hashed: Vec<(u64, u64)> = pairs[4_000..]
             .iter()
             .map(|&(a, b)| hasher.hash_pair(&[a], &[b]))
             .collect();

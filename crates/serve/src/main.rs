@@ -104,6 +104,12 @@ const BACKOFF_START: Duration = Duration::from_millis(100);
 /// Ceiling of the edge sender's exponential reconnect backoff.
 const BACKOFF_CAP: Duration = Duration::from_secs(5);
 
+/// Longest request header `query_connection` reads, in bytes.
+const MAX_HEADER: usize = 8192;
+
+/// Largest request body `query_connection` accepts, in bytes.
+const MAX_BODY: usize = 65_536;
+
 fn die(msg: &str) -> ! {
     eprintln!("implicate-serve: {msg}");
     exit(2);
@@ -909,15 +915,102 @@ fn wire_ingest_connection(
     }
 }
 
+/// Applies one frame from an edge to the aggregator's state: peeks the
+/// header, decodes the frame into that node's [`WireDecoder`] replica
+/// (creating it for a node not seen before), counts the frame's tuples
+/// as accepted, records it on the fleet registry, then re-merges every
+/// held replica into a fresh same-configuration estimator that `serving`
+/// adopts. Returns whether the frame was applied.
+///
+/// A frame that fails to apply resets that node's replica, journals a
+/// flight recording and sets `kill`, so the connection drops and the
+/// edge reconnects to resync with a full snapshot.
+fn apply_frame(
+    frame: bytes::Bytes,
+    kill: &AtomicBool,
+    serving: &mut ImplicationEstimator,
+    template: &EstimatorConfig,
+    decoders: &mut HashMap<u64, WireDecoder>,
+    shared: &Shared,
+) -> bool {
+    // node_id is authenticated by nothing but the header — this is a
+    // trusted-network protocol, as WIRE.md states (the ingest connection
+    // pins it so it cannot *switch*).
+    let peeked = match peek_frame(&frame) {
+        Ok(Some(h)) => h,
+        _ => {
+            kill.store(true, Ordering::Release);
+            return false;
+        }
+    };
+    let node = peeked.node_id;
+    let frame_bytes = frame.len() as u64;
+    let decoder = decoders.entry(node).or_insert_with(|| {
+        WireDecoder::new()
+            .require_matching(serving)
+            .with_metrics(serving.metrics().clone())
+            .with_trace(serving.trace().clone())
+    });
+    match decoder.apply(frame) {
+        Ok(header) => {
+            shared.accepted.fetch_add(header.tuples, Ordering::Relaxed);
+            if let Some(fleet) = &shared.fleet {
+                fleet.record_frame(
+                    node,
+                    header.kind,
+                    frame_bytes,
+                    header.epoch,
+                    header.tuples,
+                    shared.now_ms(),
+                );
+            }
+            let merge_started = std::time::Instant::now();
+            let mut merged = template.build();
+            for dec in decoders.values() {
+                if let Some(replica) = dec.estimator() {
+                    merged.merge(replica);
+                }
+            }
+            serving.adopt_state(merged);
+            if let Some(fleet) = &shared.fleet {
+                fleet.observe_merge_nanos(merge_started.elapsed().as_nanos() as u64);
+            }
+            true
+        }
+        Err(e) => {
+            eprintln!("implicate-serve: frame from node {node}: {e}");
+            if let Some(fleet) = &shared.fleet {
+                fleet.record_error(node, Some(peeked.epoch), shared.now_ms());
+            }
+            if let Some(recorder) = &shared.flight {
+                let context = format!(
+                    "{{\"reason\":\"decode_error\",\"node_id\":{node},\
+                     \"epoch\":{},\"error\":\"{}\",\"detail\":{}}}",
+                    peeked.epoch,
+                    e.name(),
+                    flight::json_string(&e.to_string()),
+                );
+                recorder.record(
+                    "decode_error",
+                    &context,
+                    shared.trace.journal().map(|j| j.to_jsonl()).as_deref(),
+                );
+            }
+            decoder.reset();
+            kill.store(true, Ordering::Release);
+            false
+        }
+    }
+}
+
 /// The aggregator's writer: the single owner of the serving estimator
 /// and of one [`WireDecoder`] replica per edge node.
 ///
-/// Every successfully applied frame triggers a re-merge of all held
-/// replicas into a fresh same-configuration estimator, which the
-/// serving writer then adopts and republishes — readers keep their
-/// wait-free channel across re-aggregations. A frame that fails to
-/// apply resets that node's replica and kills its connection; the edge
-/// reconnects and resyncs with a full snapshot.
+/// Every successfully applied frame ([`apply_frame`]) re-merges all held
+/// replicas into the serving writer, which then republishes — readers
+/// keep their wait-free channel across re-aggregations — and writes a
+/// checkpoint when one is due. Frames still queued at shutdown are
+/// applied the same way before one final publish and checkpoint.
 ///
 /// Returns (frames applied, final tuple count).
 fn aggregate_writer_loop(
@@ -934,90 +1027,26 @@ fn aggregate_writer_loop(
     loop {
         match frame_rx.recv_timeout(POLL) {
             Ok((frame, kill)) => {
-                // node_id is authenticated by nothing but the header —
-                // this is a trusted-network protocol, as WIRE.md states
-                // (the ingest connection pins it so it cannot *switch*).
-                let peeked = match peek_frame(&frame) {
-                    Ok(Some(h)) => h,
-                    _ => {
-                        kill.store(true, Ordering::Release);
-                        continue;
-                    }
-                };
-                let node = peeked.node_id;
-                let frame_bytes = frame.len() as u64;
-                let decoder = decoders.entry(node).or_insert_with(|| {
-                    WireDecoder::new()
-                        .require_matching(&serving)
-                        .with_metrics(serving.metrics().clone())
-                        .with_trace(serving.trace().clone())
-                });
-                match decoder.apply(frame) {
-                    Ok(header) => {
-                        frames += 1;
-                        shared.accepted.fetch_add(header.tuples, Ordering::Relaxed);
-                        if let Some(fleet) = &shared.fleet {
-                            fleet.record_frame(
-                                node,
-                                header.kind,
-                                frame_bytes,
-                                header.epoch,
-                                header.tuples,
-                                shared.now_ms(),
-                            );
-                        }
-                        let merge_started = std::time::Instant::now();
-                        let mut merged = template.build();
-                        for dec in decoders.values() {
-                            if let Some(replica) = dec.estimator() {
-                                merged.merge(replica);
-                            }
-                        }
-                        serving.adopt_state(merged);
-                        if let Some(fleet) = &shared.fleet {
-                            fleet.observe_merge_nanos(merge_started.elapsed().as_nanos() as u64);
-                        }
-                        let publish_started = std::time::Instant::now();
-                        serving.publish_full();
-                        let data = serving.to_bytes();
-                        if let Some(fleet) = &shared.fleet {
-                            fleet
-                                .observe_publish_nanos(publish_started.elapsed().as_nanos() as u64);
-                        }
-                        if let Some(path) = checkpoint {
-                            let due = checkpoint_every.is_some_and(|n| {
-                                serving.tuples_seen().saturating_sub(tuples_at_checkpoint) >= n
-                            });
-                            if due {
-                                tuples_at_checkpoint = serving.tuples_seen();
-                                write_checkpoint(path, &data);
-                            }
-                        }
-                        *shared.snapshot.lock().unwrap() = Some(data);
-                    }
-                    Err(e) => {
-                        eprintln!("implicate-serve: frame from node {node}: {e}");
-                        if let Some(fleet) = &shared.fleet {
-                            fleet.record_error(node, Some(peeked.epoch), shared.now_ms());
-                        }
-                        if let Some(recorder) = &shared.flight {
-                            let context = format!(
-                                "{{\"reason\":\"decode_error\",\"node_id\":{node},\
-                                 \"epoch\":{},\"error\":\"{}\",\"detail\":{}}}",
-                                peeked.epoch,
-                                e.name(),
-                                flight::json_string(&e.to_string()),
-                            );
-                            recorder.record(
-                                "decode_error",
-                                &context,
-                                shared.trace.journal().map(|j| j.to_jsonl()).as_deref(),
-                            );
-                        }
-                        decoder.reset();
-                        kill.store(true, Ordering::Release);
+                if !apply_frame(frame, &kill, &mut serving, template, &mut decoders, shared) {
+                    continue;
+                }
+                frames += 1;
+                let publish_started = std::time::Instant::now();
+                serving.publish_full();
+                let data = serving.to_bytes();
+                if let Some(fleet) = &shared.fleet {
+                    fleet.observe_publish_nanos(publish_started.elapsed().as_nanos() as u64);
+                }
+                if let Some(path) = checkpoint {
+                    let due = checkpoint_every.is_some_and(|n| {
+                        serving.tuples_seen().saturating_sub(tuples_at_checkpoint) >= n
+                    });
+                    if due {
+                        tuples_at_checkpoint = serving.tuples_seen();
+                        write_checkpoint(path, &data);
                     }
                 }
+                *shared.snapshot.lock().unwrap() = Some(data);
             }
             Err(RecvTimeoutError::Timeout) => {
                 if shared.stop.load(Ordering::Acquire) {
@@ -1028,41 +1057,8 @@ fn aggregate_writer_loop(
         }
     }
     while let Ok((frame, kill)) = frame_rx.try_recv() {
-        let peeked = match peek_frame(&frame) {
-            Ok(Some(h)) => h,
-            _ => continue,
-        };
-        let node = peeked.node_id;
-        let frame_bytes = frame.len() as u64;
-        if let Some(decoder) = decoders.get_mut(&node) {
-            match decoder.apply(frame) {
-                Ok(header) => {
-                    frames += 1;
-                    if let Some(fleet) = &shared.fleet {
-                        fleet.record_frame(
-                            node,
-                            header.kind,
-                            frame_bytes,
-                            header.epoch,
-                            header.tuples,
-                            shared.now_ms(),
-                        );
-                    }
-                    let mut merged = template.build();
-                    for dec in decoders.values() {
-                        if let Some(replica) = dec.estimator() {
-                            merged.merge(replica);
-                        }
-                    }
-                    serving.adopt_state(merged);
-                }
-                Err(_) => {
-                    if let Some(fleet) = &shared.fleet {
-                        fleet.record_error(node, Some(peeked.epoch), shared.now_ms());
-                    }
-                    kill.store(true, Ordering::Release);
-                }
-            }
+        if apply_frame(frame, &kill, &mut serving, template, &mut decoders, shared) {
+            frames += 1;
         }
     }
     serving.publish_full();
@@ -1810,25 +1806,32 @@ fn query_connection(
     stream.set_read_timeout(Some(Duration::from_secs(5))).ok();
     let mut buf = Vec::with_capacity(512);
     let mut byte = [0u8; 1];
-    // Read until the header terminator.
+    // Read until the header terminator; a header that does not end
+    // within MAX_HEADER bytes is refused whole, never acted on cut off.
+    let mut header_too_large = false;
     while !buf.ends_with(b"\r\n\r\n") && !buf.ends_with(b"\n\n") {
         match stream.read(&mut byte) {
             Ok(0) => break,
             Ok(_) => {
                 buf.push(byte[0]);
-                if buf.len() > 8192 {
+                if buf.len() > MAX_HEADER {
+                    header_too_large = true;
                     break;
                 }
             }
             Err(_) => break,
         }
     }
+    if header_too_large {
+        return refuse(stream, "431 Request Header Fields Too Large");
+    }
     let request = String::from_utf8_lossy(&buf);
     let mut parts = request.lines().next().unwrap_or("").split_whitespace();
     let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
     let (route, query_string) = path.split_once('?').unwrap_or((path, ""));
     // Read the body when one is declared (`POST /query` carries a spec
-    // line); bounded so a bogus length cannot balloon the buffer.
+    // line); a body over MAX_BODY is refused, so a bogus length cannot
+    // balloon the buffer and a long one is never acted on cut off.
     let content_length = request
         .lines()
         .find_map(|l| {
@@ -1839,7 +1842,10 @@ fn query_connection(
                 .flatten()
         })
         .unwrap_or(0);
-    let mut body_in = vec![0u8; content_length.min(65_536)];
+    if content_length > MAX_BODY {
+        return refuse(stream, "413 Payload Too Large");
+    }
+    let mut body_in = vec![0u8; content_length];
     if !body_in.is_empty() && stream.read_exact(&mut body_in).is_err() {
         body_in.clear();
     }
@@ -1926,12 +1932,130 @@ fn query_connection(
         }
     };
 
+    respond(&mut stream, status, content_type, &body);
+}
+
+/// Writes one complete HTTP/1.0 response.
+fn respond(stream: &mut TcpStream, status: &str, content_type: &str, body: &[u8]) {
     let header = format!(
         "HTTP/1.0 {status}\r\nContent-Type: {content_type}\r\n\
          Content-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
     let _ = stream.write_all(header.as_bytes());
-    let _ = stream.write_all(&body);
+    let _ = stream.write_all(body);
     let _ = stream.flush();
+}
+
+/// Answers a request that is refused unread with `status`, then discards
+/// what the client is still sending until it closes, so closing on unread
+/// bytes cannot reset the connection before the client reads the answer.
+fn refuse(mut stream: TcpStream, status: &str) {
+    respond(
+        &mut stream,
+        status,
+        "text/plain",
+        format!("{status}\n").as_bytes(),
+    );
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    stream.set_read_timeout(Some(Duration::from_secs(1))).ok();
+    let mut sink = [0u8; 4096];
+    let mut left = 1 << 20;
+    while left > 0 {
+        match stream.read(&mut sink) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => left -= n.min(left),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn template() -> EstimatorConfig {
+        EstimatorConfig::new(ImplicationConditions::strict_one_to_one(1))
+            .bitmaps(16)
+            .seed(5)
+    }
+
+    fn aggregator() -> Shared {
+        Shared {
+            stop: AtomicBool::new(false),
+            writer_done: AtomicBool::new(false),
+            accepted: AtomicU64::new(0),
+            skipped: AtomicU64::new(0),
+            snapshot: Mutex::new(None),
+            metrics: MetricsHandle::new(),
+            trace: TraceHandle::disabled(),
+            fleet: Some(Arc::new(NodeRegistry::new(DEFAULT_STALE_AFTER_MS))),
+            edge: None,
+            flight: None,
+            started: std::time::Instant::now(),
+            role: "aggregator",
+        }
+    }
+
+    /// A full frame carrying `rows` updates, as edge `node` ships it.
+    fn full_frame(node: u64, rows: u64) -> bytes::Bytes {
+        let mut edge = template().build();
+        for a in 0..rows {
+            edge.update(&[a], &[a % 3]);
+        }
+        WireSnapshot::capture(&edge, 1).full_frame(node)
+    }
+
+    #[test]
+    fn a_full_frame_from_an_unseen_node_is_applied_and_counted() {
+        let shared = aggregator();
+        let mut serving = template().build();
+        let mut decoders = HashMap::new();
+        let kill = AtomicBool::new(false);
+        let applied = apply_frame(
+            full_frame(7, 500),
+            &kill,
+            &mut serving,
+            &template(),
+            &mut decoders,
+            &shared,
+        );
+        assert!(applied);
+        assert!(!kill.load(Ordering::Acquire));
+        assert_eq!(shared.accepted.load(Ordering::Relaxed), 500);
+        assert_eq!(serving.tuples_seen(), 500);
+        assert!(decoders[&7].estimator().is_some());
+    }
+
+    #[test]
+    fn a_corrupt_frame_kills_the_connection_and_resets_the_node() {
+        let shared = aggregator();
+        let mut serving = template().build();
+        let mut decoders = HashMap::new();
+        let kill = AtomicBool::new(false);
+        assert!(apply_frame(
+            full_frame(7, 500),
+            &kill,
+            &mut serving,
+            &template(),
+            &mut decoders,
+            &shared,
+        ));
+        // The header still parses, but the body is one byte short. A
+        // failed full frame leaves the decoder's state as it was, so the
+        // reset is apply_frame's doing.
+        let good = full_frame(7, 800);
+        let corrupt = good.slice(0..good.len() - 1);
+        let applied = apply_frame(
+            corrupt,
+            &kill,
+            &mut serving,
+            &template(),
+            &mut decoders,
+            &shared,
+        );
+        assert!(!applied);
+        assert!(kill.load(Ordering::Acquire));
+        assert!(decoders[&7].estimator().is_none());
+        assert_eq!(shared.accepted.load(Ordering::Relaxed), 500);
+    }
 }

@@ -92,6 +92,19 @@ impl Server {
         self.http("GET", path, "")
     }
 
+    /// Sends `request` verbatim; returns the response's status line.
+    fn raw_status(&self, request: &[u8]) -> String {
+        let mut conn = TcpStream::connect(&self.query).expect("connect query");
+        conn.write_all(request).expect("send request");
+        let mut response = Vec::new();
+        conn.read_to_end(&mut response).expect("read response");
+        String::from_utf8_lossy(&response)
+            .lines()
+            .next()
+            .unwrap_or("")
+            .to_string()
+    }
+
     /// Polls `/status` until `pred` holds on the body, returning it.
     fn wait_status(&self, what: &str, pred: impl Fn(&str) -> bool) -> String {
         let start = Instant::now();
@@ -323,6 +336,45 @@ fn catalog_role_registers_answers_and_retires_over_http() {
     let (status, _) = srv.get("/snapshot");
     assert!(status.contains("404"), "{status}");
 
+    let (status, _) = srv.http("POST", "/shutdown", "");
+    assert!(status.contains("200"), "{status}");
+}
+
+/// A body over the 64 KiB cap is refused whole: it must not be cut to
+/// the cap and then parsed as a spec line.
+#[test]
+fn oversized_query_body_is_refused_and_registers_nothing() {
+    let srv = Server::spawn(&["--catalog", "--arity", "3"]);
+    let spec = "big one-to-one 0 1";
+    let body = format!("{spec}{}\n", " ".repeat(70_000 - spec.len() - 1));
+    assert_eq!(body.len(), 70_000);
+    let (status, reply) = srv.http("POST", "/query", &body);
+    assert!(status.contains("413"), "{status}: {reply}");
+
+    let (status, list) = srv.get("/queries");
+    assert!(status.contains("200"), "{status}");
+    assert!(!list.contains("\"name\":\"big\""), "{list}");
+    let (status, _) = srv.http("POST", "/shutdown", "");
+    assert!(status.contains("200"), "{status}");
+}
+
+/// A header over 8 KiB is refused whole: the request line before the
+/// cut must not be served.
+#[test]
+fn oversized_request_header_is_refused() {
+    let srv = Server::spawn(&["--catalog", "--arity", "3"]);
+    let request = format!(
+        "GET /healthz HTTP/1.0\r\nX-Pad: {}\r\n\r\n",
+        "a".repeat(9 * 1024)
+    );
+    let status = srv.raw_status(request.as_bytes());
+    assert!(status.contains("431"), "{status}");
+
+    let (status, _) = srv.get("/healthz");
+    assert!(
+        status.contains("200"),
+        "a normal request still works: {status}"
+    );
     let (status, _) = srv.http("POST", "/shutdown", "");
     assert!(status.contains("200"), "{status}");
 }

@@ -170,13 +170,16 @@ fn library_run(rows: &str) -> implicate::ImplicationEstimator {
     let mut est = serve_default_config().build();
     let field_hasher = MixHasher::new(FIELD_HASHER_SEED);
     let pair_hasher = est.pair_hasher();
-    for line in rows.lines() {
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        let a = [implicate::text::hash_field(&field_hasher, fields[0])];
-        let b = [implicate::text::hash_field(&field_hasher, fields[1])];
-        let (h_a, b_fp) = pair_hasher.hash_pair(&a, &b);
-        est.update_hashed(h_a, b_fp);
-    }
+    let pairs: Vec<(u64, u64)> = rows
+        .lines()
+        .map(|line| {
+            let fields: Vec<&str> = line.split_whitespace().collect();
+            let a = [implicate::text::hash_field(&field_hasher, fields[0])];
+            let b = [implicate::text::hash_field(&field_hasher, fields[1])];
+            pair_hasher.hash_pair(&a, &b)
+        })
+        .collect();
+    est.update_hashed_batch(&pairs);
     est
 }
 

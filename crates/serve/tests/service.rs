@@ -164,13 +164,16 @@ fn library_run(rows: &str) -> implicate::ImplicationEstimator {
     let mut est = serve_default_config().build();
     let field_hasher = MixHasher::new(FIELD_HASHER_SEED);
     let pair_hasher = est.pair_hasher();
-    for line in rows.lines() {
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        let a = [implicate::text::hash_field(&field_hasher, fields[0])];
-        let b = [implicate::text::hash_field(&field_hasher, fields[1])];
-        let (h_a, b_fp) = pair_hasher.hash_pair(&a, &b);
-        est.update_hashed(h_a, b_fp);
-    }
+    let pairs: Vec<(u64, u64)> = rows
+        .lines()
+        .map(|line| {
+            let fields: Vec<&str> = line.split_whitespace().collect();
+            let a = [implicate::text::hash_field(&field_hasher, fields[0])];
+            let b = [implicate::text::hash_field(&field_hasher, fields[1])];
+            pair_hasher.hash_pair(&a, &b)
+        })
+        .collect();
+    est.update_hashed_batch(&pairs);
     est
 }
 
@@ -249,14 +252,18 @@ fn served_estimates_match_a_library_run_and_survive_restart() {
 
     let extra = workload(500);
     server.ingest_rows(&extra);
-    for line in extra.lines() {
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        let field_hasher = MixHasher::new(FIELD_HASHER_SEED);
-        let a = [implicate::text::hash_field(&field_hasher, fields[0])];
-        let b = [implicate::text::hash_field(&field_hasher, fields[1])];
-        let (h_a, b_fp) = est.pair_hasher().hash_pair(&a, &b);
-        est.update_hashed(h_a, b_fp);
-    }
+    let field_hasher = MixHasher::new(FIELD_HASHER_SEED);
+    let pair_hasher = est.pair_hasher();
+    let pairs: Vec<(u64, u64)> = extra
+        .lines()
+        .map(|line| {
+            let fields: Vec<&str> = line.split_whitespace().collect();
+            let a = [implicate::text::hash_field(&field_hasher, fields[0])];
+            let b = [implicate::text::hash_field(&field_hasher, fields[1])];
+            pair_hasher.hash_pair(&a, &b)
+        })
+        .collect();
+    est.update_hashed_batch(&pairs);
     let body = server.wait_for_tuples(3_500);
     assert_bits_match(&body, &mut est);
     server.shutdown();

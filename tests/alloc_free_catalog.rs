@@ -14,7 +14,7 @@ use implicate::query::Filter;
 use implicate::stream::AttrId;
 use implicate::{
     AttrSet, EstimatorConfig, HashedBatch, ImplicationConditions, ImplicationQuery, QueryCatalog,
-    Schema, Tuple,
+    Schema, ShardedCatalog, Tuple,
 };
 
 struct CountingAlloc;
@@ -144,6 +144,46 @@ fn steady_state_process_hashed_performs_zero_allocations() {
         "steady-state catalog process_hashed allocated on the hot path"
     );
     assert_eq!(catalog.tuples_seen(), 202 * 256);
+}
+
+#[test]
+fn steady_state_sharded_publish_and_barrier_perform_zero_allocations() {
+    // The lane runtime's quiesce point, as `--threads N` catalog runs use
+    // it at every report boundary: asking every lane to publish and then
+    // waiting for all of them must stay off the router thread's heap once
+    // warm. Publish requests are plain ring messages and every barrier
+    // reuses one ack channel. (Lane threads count their own allocations;
+    // the thread-local counter isolates the router.)
+    let schema = Schema::new([("Src", 0), ("Dst", 0)]);
+    let template = EstimatorConfig::new(ImplicationConditions::strict_one_to_one(1_000_000))
+        .bitmaps(16)
+        .seed(31);
+    let mut catalog = QueryCatalog::new(&schema, template);
+    let (src, dst) = (schema.attr_set(&["Src"]), schema.attr_set(&["Dst"]));
+    catalog.register("loyal", ImplicationQuery::one_to_one(src, dst, 1));
+    catalog.register("distinct", ImplicationQuery::distinct_count(src));
+    catalog.register("fanout", ImplicationQuery::more_than(src, dst, 2, 1));
+    let mut sharded = ShardedCatalog::new(catalog, 2);
+    let batch: Vec<Tuple> = (0..256u64).map(|i| Tuple::from([i, i % 4])).collect();
+    sharded.process_batch(&batch);
+
+    for _ in 0..3 {
+        sharded.publish();
+        sharded.barrier();
+    }
+
+    let before = allocs_on_this_thread();
+    for _ in 0..200 {
+        sharded.publish();
+        sharded.barrier();
+    }
+    let after = allocs_on_this_thread();
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state sharded publish + barrier allocated on the router"
+    );
+    assert_eq!(sharded.finish().tuples_seen(), 256);
 }
 
 #[test]

@@ -75,28 +75,28 @@ fn steady_state_update_performs_zero_allocations() {
 }
 
 #[test]
-fn steady_state_update_hashed_performs_zero_allocations() {
-    // Same contract one layer down: the pre-hashed entry point the
-    // sharded pipeline drives must be equally quiet.
+fn steady_state_small_hashed_batch_performs_zero_allocations() {
+    // Same contract one layer down: a pre-hashed batch below the grouping
+    // threshold runs the per-row path the sharded workers also drive, and
+    // must be equally quiet.
     let cond = ImplicationConditions::strict_one_to_one(1_000_000);
     let mut est = EstimatorConfig::new(cond).bitmaps(32).seed(29).build();
-    let hashed: Vec<(u64, u64)> = (0..256u64).map(|a| est.hash_pair(&[a], &[a % 4])).collect();
+    let hasher = est.pair_hasher();
+    let hashed: Vec<(u64, u64)> = (0..256u64)
+        .map(|a| hasher.hash_pair(&[a], &[a % 4]))
+        .collect();
 
-    for &(h_a, b_fp) in &hashed {
-        est.update_hashed(h_a, b_fp);
-    }
+    est.update_hashed_batch(&hashed);
 
     let before = allocs_on_this_thread();
     for _ in 0..200 {
-        for &(h_a, b_fp) in &hashed {
-            est.update_hashed(h_a, b_fp);
-        }
+        est.update_hashed_batch(&hashed);
     }
     let after = allocs_on_this_thread();
     assert_eq!(
         after - before,
         0,
-        "steady-state update_hashed allocated on the hot path"
+        "steady-state small hashed batch allocated on the hot path"
     );
 }
 
@@ -107,8 +107,9 @@ fn steady_state_grouped_batch_update_performs_zero_allocations() {
     // sizes it, every later one reuses it.
     let cond = ImplicationConditions::strict_one_to_one(1_000_000);
     let mut est = EstimatorConfig::new(cond).bitmaps(32).seed(29).build();
+    let hasher = est.pair_hasher();
     let hashed: Vec<(u64, u64)> = (0..4_096u64)
-        .map(|a| est.hash_pair(&[a], &[a % 4]))
+        .map(|a| hasher.hash_pair(&[a], &[a % 4]))
         .collect();
 
     for _ in 0..2 {

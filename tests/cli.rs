@@ -519,3 +519,88 @@ fn missing_required_columns_fails() {
     assert!(!ok);
     assert!(stderr.contains("--lhs is required"), "stderr: {stderr}");
 }
+
+#[test]
+fn parallel_save_writes_the_same_snapshot_bytes_as_sequential() {
+    let dir = std::env::temp_dir().join(format!("implicate-psave-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let input = traffic(3000, 1500);
+    let mut reference: Option<(String, Vec<u8>)> = None;
+    for threads in ["1", "2", "3"] {
+        let snap = dir.join(format!("t{threads}.imps"));
+        let snap_s = snap.to_str().expect("utf-8 path");
+        let (stdout, stderr, ok) = run_cli(
+            &[
+                "--lhs",
+                "0",
+                "--rhs",
+                "1",
+                "--threads",
+                threads,
+                "--save",
+                snap_s,
+            ],
+            &input,
+        );
+        assert!(ok, "stderr: {stderr}");
+        let bytes = std::fs::read(&snap).expect("snapshot written");
+        match &reference {
+            None => reference = Some((stdout, bytes)),
+            Some((seq_out, seq_bytes)) => {
+                assert_eq!(&stdout, seq_out, "answer differs at --threads {threads}");
+                assert!(
+                    &bytes == seq_bytes,
+                    "snapshot bytes differ at --threads {threads}"
+                );
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn parallel_resume_continues_a_checkpoint_exactly() {
+    // Save a prefix, then resume it with and without lanes and save
+    // again: both continuations write the same bytes.
+    let dir = std::env::temp_dir().join(format!("implicate-presume-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let prefix = dir.join("prefix.imps");
+    let prefix_s = prefix.to_str().expect("utf-8 path");
+    let (_, stderr, ok) = run_cli(
+        &["--lhs", "0", "--rhs", "1", "--save", prefix_s],
+        &traffic(2000, 500),
+    );
+    assert!(ok, "stderr: {stderr}");
+
+    let more: String = (2000..5000u64)
+        .map(|a| format!("src{a} dst{}\nsrc{} dstX\n", a % 7, a % 300))
+        .collect();
+    let mut outputs = Vec::new();
+    for threads in ["1", "3"] {
+        let out = dir.join(format!("resumed{threads}.imps"));
+        let out_s = out.to_str().expect("utf-8 path");
+        let (stdout, stderr, ok) = run_cli(
+            &[
+                "--lhs",
+                "0",
+                "--rhs",
+                "1",
+                "--threads",
+                threads,
+                "--resume",
+                prefix_s,
+                "--save",
+                out_s,
+            ],
+            &more,
+        );
+        assert!(ok, "stderr: {stderr}");
+        outputs.push((stdout, std::fs::read(&out).expect("snapshot written")));
+    }
+    assert_eq!(outputs[0].0, outputs[1].0, "resumed answers differ");
+    assert!(
+        outputs[0].1 == outputs[1].1,
+        "resumed snapshot bytes differ"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

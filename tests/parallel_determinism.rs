@@ -133,9 +133,10 @@ fn grouped_batch_update_is_bit_identical_to_per_row() {
 
     for chunk in [1024usize, 2048, 4096, 30_000] {
         let mut batched = config.build();
+        let hasher = batched.pair_hasher();
         let hashed: Vec<(u64, u64)> = stream
             .iter()
-            .map(|([a], [b])| batched.hash_pair(&[*a], &[*b]))
+            .map(|([a], [b])| hasher.hash_pair(&[*a], &[*b]))
             .collect();
         for part in hashed.chunks(chunk) {
             batched.update_hashed_batch(part);
@@ -206,23 +207,38 @@ proptest! {
 
 #[test]
 fn batched_entry_point_is_equally_deterministic() {
+    // The one batch entry, `update_hashed_batch`, on both estimator types:
+    // a sequential estimator fed whole pre-hashed chunks and a sharded
+    // pipeline fed the same chunks must both land on the per-row bytes.
     let stream = zipf_stream(40_000, 0xbeef);
-    let pairs: Vec<(u64, u64)> = stream.iter().map(|&([a], [b])| (a, b)).collect();
     let config = EstimatorConfig::new(ImplicationConditions::one_to_c(2, 0.9, 2)).seed(3);
 
+    let mut per_row = config.build();
+    for (a, b) in &stream {
+        per_row.update(a, b);
+    }
+    let seq_bytes = per_row.to_bytes();
+
     let mut seq = config.build();
-    seq.update_batch(&pairs);
-    let seq_bytes = seq.to_bytes();
+    let hasher = seq.pair_hasher();
+    let hashed: Vec<(u64, u64)> = stream
+        .iter()
+        .map(|([a], [b])| hasher.hash_pair(&[*a], &[*b]))
+        .collect();
+    for chunk in hashed.chunks(777) {
+        seq.update_hashed_batch(chunk);
+    }
+    assert_eq!(seq.to_bytes(), seq_bytes, "sequential batch entry diverged");
 
     for threads in [2usize, 8] {
         let mut sharded = ShardedEstimator::new(config.build(), threads);
-        for chunk in pairs.chunks(777) {
-            sharded.update_batch(chunk);
+        for chunk in hashed.chunks(777) {
+            sharded.update_hashed_batch(chunk);
         }
         assert_eq!(
             sharded.finish().to_bytes(),
             seq_bytes,
-            "update_batch diverged at {threads} threads"
+            "update_hashed_batch diverged at {threads} threads"
         );
     }
 }
