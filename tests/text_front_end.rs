@@ -258,3 +258,141 @@ fn invalid_utf8_is_an_invalid_data_error() {
     let err = reader.read_row(&mut input, &mut words).unwrap_err();
     assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 }
+
+#[path = "support/text_lines.rs"]
+mod text_lines;
+
+use text_lines::{assert_agrees, reference as reference_events, Event, DELIMITERS};
+
+/// Buffer capacities that put a refill at every offset of short lines,
+/// and the default.
+fn capacities() -> impl Iterator<Item = usize> {
+    (1..=17).chain([8192])
+}
+
+/// `input` against the reference through every capacity, with an
+/// `Interrupted` read at `cut`.
+fn assert_same_through_every_buffer(input: &[u8], delimiter: Option<char>, cut: usize) {
+    let cuts: &[usize] = if 0 < cut && cut < input.len() {
+        &[cut]
+    } else {
+        &[]
+    };
+    for cols in COLUMN_LISTS {
+        for capacity in capacities() {
+            assert_agrees(
+                input,
+                cols,
+                delimiter,
+                capacity,
+                cuts,
+                io::ErrorKind::Interrupted,
+            );
+        }
+    }
+}
+
+#[test]
+fn every_separator_class_and_field_length_matches_the_reference() {
+    // The ASCII whitespace bytes VT and FF split fields like space;
+    // U+0085 and U+2028 are whitespace outside ASCII, and `\x1c` is not
+    // whitespace at all. Fields run to 80 bytes, past the precomputed
+    // chain words.
+    const ALPHABET: &[&str] = &[
+        " ", " ", ",", "\t", "\r", "\n", "\n", "#", "é", "¦", "\u{a0}", "\u{3000}", "\x0b", "\x0c",
+        "\u{85}", "\u{2028}", "\x1c",
+    ];
+    let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+    let mut next = |n: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % n as u64) as usize
+    };
+    for _ in 0..60 {
+        let mut input = String::new();
+        for _ in 0..next(24) {
+            if next(3) == 0 {
+                let len = next(81);
+                input.extend((0..len).map(|i| char::from(b'a' + (i % 26) as u8)));
+            } else {
+                input.push_str(ALPHABET[next(ALPHABET.len())]);
+            }
+        }
+        let cut = next(input.len() + 1);
+        for &delimiter in DELIMITERS {
+            assert_same_through_every_buffer(input.as_bytes(), delimiter, cut);
+        }
+    }
+}
+
+#[test]
+fn bytes_after_the_last_selected_field_are_still_checked() {
+    let lines: [&[u8]; 6] = [
+        "s1 d1 caf\u{e9}\n".as_bytes(),
+        "s1 d1 \u{2028}x\n".as_bytes(),
+        b"s1 d1 \xff\n",
+        b"s1 d1 port \xc3\n",
+        b"s1,d1,\xe2\x80\n",
+        b"s1 d1\xff",
+    ];
+    for line in lines {
+        let input = [line, b"s2 d2\n"].concat();
+        for delimiter in [None, Some(','), Some('¦')] {
+            assert_same_through_every_buffer(&input, delimiter, line.len());
+        }
+    }
+    // The reference itself: an invalid line is an error, not a row.
+    assert_eq!(
+        reference_events(b"s1 d1 \xff\ns2 d2\n", &[0, 1], None)[0],
+        Event::Invalid
+    );
+}
+
+#[test]
+fn a_comment_line_that_is_not_utf8_is_an_invalid_data_error() {
+    let mut reader = RowReader::new(&[0], None);
+    let mut input: &[u8] = b"# caf\xe9\na\n";
+    let mut words = Vec::new();
+    let err = reader.read_row(&mut input, &mut words).unwrap_err();
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    assert_eq!(
+        reader.read_row(&mut input, &mut words).unwrap(),
+        Row::Fields
+    );
+    for capacity in capacities() {
+        assert_agrees(
+            b"# caf\xe9\na\n# ok\n#\xff",
+            &[0],
+            None,
+            capacity,
+            &[3],
+            io::ErrorKind::WouldBlock,
+        );
+    }
+}
+
+#[test]
+fn tab_and_non_ascii_delimiters_match_the_reference() {
+    let input = "a\tb\t c \n\t\n x \t y\t\u{a0}z\u{a0}\r\nq\u{b}\tw\n".as_bytes();
+    assert_same_through_every_buffer(input, Some('\t'), 5);
+    let input = "a¦b¦ c \n¦\n x ¦ y¦\u{a0}z\u{a0}\r\né¦ü\n".as_bytes();
+    assert_same_through_every_buffer(input, Some('¦'), 5);
+}
+
+#[test]
+fn interrupted_reads_are_retried() {
+    let input = b"s1 d1\nsrc2 dst2 x\r\n# c\nlast row here";
+    for cut in 1..input.len() {
+        for capacity in [1, 4, 8192] {
+            assert_agrees(
+                input,
+                &[0, 1],
+                None,
+                capacity,
+                &[cut],
+                io::ErrorKind::Interrupted,
+            );
+        }
+    }
+}
