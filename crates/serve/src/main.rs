@@ -21,15 +21,24 @@
 //!   observability block — see DESIGN.md §8.7), `GET /metrics`
 //!   (Prometheus exposition with `# HELP`/`# TYPE` metadata, plus
 //!   per-node fleet series on an aggregator and `edge_*` series on an
-//!   edge), `GET /snapshot` (latest checkpoint bytes, VERSION 2 codec),
-//!   `GET /healthz`, and `POST /shutdown` (graceful: drain, final
-//!   publish, checkpoint, exit).
-//! * **Restart** with the same `--checkpoint` file resumes from the
-//!   snapshot — estimates continue bit-identically from where the
-//!   previous process stopped.
+//!   edge), `GET /snapshot` (the latest stored snapshot, VERSION 2
+//!   codec: the startup state, then each checkpoint, and on an
+//!   aggregator every merged state), `GET /healthz`, and
+//!   `POST /shutdown` (graceful: drain, final publish, checkpoint, exit).
+//! * **Checkpoints** go to `--checkpoint` at graceful shutdown and, with
+//!   `--checkpoint-every N`, at any publish (by row count or when idle)
+//!   once `tuples_seen` is N past the last checkpoint. Restart with the
+//!   same file resumes from the snapshot — estimates continue
+//!   bit-identically from where the previous process stopped.
 //!
-//! The binary is pure `std`: no async runtime, one writer thread, one
-//! lightweight thread per connection.
+//! The binary is pure `std`: no async runtime, one lightweight thread
+//! per connection, and one writer thread. Every role's writer runs the
+//! same `writer_loop` over its own `Writer` (text rows, catalog, or
+//! aggregator), fed by the role's single ingest channel: the loop owns
+//! the receive, the stop check, the shutdown drain and the done flag.
+//! The estimator flags (`--max-mult` … `--seed`, `--delimiter`) come
+//! from the table in `implicate::spec` that the `implicate` CLI uses
+//! too.
 //!
 //! # Distributed operation
 //!
@@ -70,18 +79,18 @@ use std::process::exit;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use implicate::core::fleet::{NodeRegistry, DEFAULT_STALE_AFTER_MS};
 use implicate::core::wire::{
     peek_frame, WireDecoder, WireSnapshot, DEFAULT_MAX_FRAME_BYTES, REJECT_NODE_ID_SWITCH,
 };
-use implicate::spec;
+use implicate::spec::{self, EstimatorFlag, EstimatorFlags, QuerySpec};
 use implicate::text::{Row, RowReader};
 use implicate::{
-    EstimateReader, EstimatorConfig, Fringe, HashedBatch, ImplicationConditions,
-    ImplicationEstimator, ImplicationQuery, MetricsHandle, MultiplicityPolicy, QueryCatalog,
-    QueryId, Schema, ShardedEstimator, TraceEvent, TraceHandle, Tuple,
+    EstimateReader, EstimatorConfig, HashedBatch, ImplicationEstimator, ImplicationQuery,
+    MetricsHandle, QueryCatalog, QueryId, Schema, ShardedEstimator, TraceEvent, TraceHandle, Tuple,
+    TupleHasher,
 };
 
 mod flight;
@@ -147,25 +156,18 @@ usage: implicate-serve [options]
 
   --lhs COLS            columns forming the counted itemset A (default 0)
   --rhs COLS            columns forming the implied itemset B (default 1)
-  --delimiter C         field delimiter (default: any whitespace)
-  --max-mult K          maximum multiplicity (default 1)
-  --support N           minimum absolute support (default 1)
-  --top-c C             the c of the top-confidence level (default = K)
-  --confidence P        minimum top-c confidence in percent (default 100)
-  --policy P            strict | tracktop (default strict)
-  --bitmaps M           stochastic-averaging bitmaps (default 64)
-  --fringe F            fringe size (default 4); 0 = unbounded
-  --memory-budget BYTES hard cap on tracked-state memory
-  --seed N              hash seed (default 42)
   --threads N           ingestion shards (default 1)
   --publish-every N     rows between view publications (default 4096)
   --checkpoint FILE     snapshot file: restored at startup if present,
                         written on graceful shutdown
-  --checkpoint-every N  also checkpoint every N ingested rows
-                        (requires --threads 1)
+  --checkpoint-every N  also checkpoint at a publish (by row count or
+                        when idle) once N rows arrived since the last
+                        checkpoint (requires --threads 1)
   --ingest ADDR         ingestion TCP address (default 127.0.0.1:0)
   --query ADDR          query HTTP address (default 127.0.0.1:0)
+";
 
+const USAGE_ROLES: &str = "\
 distributed roles (see WIRE.md):
   --aggregate           ingest wire frames from edges instead of text
                         rows, serve the merged estimate
@@ -208,16 +210,7 @@ fn parse_num<T: std::str::FromStr>(v: &str, flag: &str) -> T {
 fn parse_opts() -> Opts {
     let mut lhs = vec![0usize];
     let mut rhs = vec![1usize];
-    let mut delimiter = None;
-    let mut max_mult = 1u32;
-    let mut support = 1u64;
-    let mut top_c: Option<u32> = None;
-    let mut confidence = 100.0f64;
-    let mut policy = MultiplicityPolicy::Strict;
-    let mut bitmaps = 64usize;
-    let mut fringe = 4u32;
-    let mut memory_budget: Option<usize> = None;
-    let mut seed = 42u64;
+    let mut est = EstimatorFlags::default();
     let mut threads = 1usize;
     let mut publish_every = 4096u64;
     let mut checkpoint = None;
@@ -240,7 +233,10 @@ fn parse_opts() -> Opts {
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         if flag == "--help" || flag == "-h" {
-            print!("{USAGE}");
+            print!(
+                "{USAGE}\nestimator options (shared with implicate):\n{}\n{USAGE_ROLES}",
+                spec::estimator_usage()
+            );
             exit(0);
         }
         let mut val = || {
@@ -251,29 +247,6 @@ fn parse_opts() -> Opts {
         match flag.as_str() {
             "--lhs" => lhs = spec::parse_columns(val()).unwrap_or_else(|e| die(&e)),
             "--rhs" => rhs = spec::parse_columns(val()).unwrap_or_else(|e| die(&e)),
-            "--delimiter" => {
-                let v = val();
-                let mut chars = v.chars();
-                delimiter = chars.next();
-                if delimiter.is_none() || chars.next().is_some() {
-                    die("--delimiter must be a single character");
-                }
-            }
-            "--max-mult" => max_mult = parse_num(val(), "--max-mult"),
-            "--support" => support = parse_num(val(), "--support"),
-            "--top-c" => top_c = Some(parse_num(val(), "--top-c")),
-            "--confidence" => confidence = parse_num(val(), "--confidence"),
-            "--policy" => {
-                policy = match val() {
-                    "strict" => MultiplicityPolicy::Strict,
-                    "tracktop" => MultiplicityPolicy::TrackTop,
-                    other => die(&format!("unknown policy {other:?}")),
-                }
-            }
-            "--bitmaps" => bitmaps = parse_num(val(), "--bitmaps"),
-            "--fringe" => fringe = parse_num(val(), "--fringe"),
-            "--memory-budget" => memory_budget = Some(parse_num(val(), "--memory-budget")),
-            "--seed" => seed = parse_num(val(), "--seed"),
             "--threads" => threads = parse_num(val(), "--threads"),
             "--publish-every" => publish_every = parse_num(val(), "--publish-every"),
             "--checkpoint" => checkpoint = Some(val().to_string()),
@@ -291,7 +264,11 @@ fn parse_opts() -> Opts {
             "--catalog" => catalog = true,
             "--arity" => arity = Some(parse_num(val(), "--arity")),
             "--query-file" => query_file = Some(val().to_string()),
-            other => die(&format!("unknown option {other:?} (try --help)")),
+            other => {
+                let flag = EstimatorFlag::find(other)
+                    .unwrap_or_else(|| die(&format!("unknown option {other:?} (try --help)")));
+                flag.set(&mut est, val()).unwrap_or_else(|e| die(&e));
+            }
         }
     }
 
@@ -364,28 +341,11 @@ fn parse_opts() -> Opts {
         die("--arity must be in 1..=64");
     }
 
-    let cond = ImplicationConditions::builder()
-        .max_multiplicity(max_mult)
-        .min_support(support)
-        .top_confidence(top_c.unwrap_or(max_mult), confidence / 100.0)
-        .multiplicity_policy(policy)
-        .build();
-    let mut config = EstimatorConfig::new(cond)
-        .bitmaps(bitmaps)
-        .fringe(match fringe {
-            0 => Fringe::Unbounded,
-            f => Fringe::Bounded(f),
-        })
-        .seed(seed);
-    if let Some(bytes) = memory_budget {
-        config = config.memory_budget(bytes);
-    }
-
     Opts {
         lhs,
         rhs,
-        delimiter,
-        config,
+        delimiter: est.delimiter,
+        config: est.build().unwrap_or_else(|e| die(&e)),
         threads,
         publish_every,
         checkpoint,
@@ -419,8 +379,8 @@ struct Shared {
     accepted: AtomicU64,
     /// Rows dropped because a projection column was missing.
     skipped: AtomicU64,
-    /// Latest checkpoint bytes (written by the writer thread at each
-    /// `publish_full` / checkpoint, served verbatim by `GET /snapshot`).
+    /// Latest stored snapshot bytes (stored by the writer thread through
+    /// [`Checkpoints::store`], served verbatim by `GET /snapshot`).
     snapshot: Mutex<Option<bytes::Bytes>>,
     metrics: MetricsHandle,
     /// Trace ring shared with the estimator and the wire codec — sized
@@ -489,19 +449,6 @@ impl Pipeline {
         }
     }
 
-    /// Publishes a view carrying the canonical snapshot payload and
-    /// returns those bytes. Sequential only — the sharded pipeline
-    /// cannot encode without quiescing.
-    fn publish_full(&mut self) -> Option<bytes::Bytes> {
-        match self {
-            Pipeline::Sequential(est) => {
-                est.publish_full();
-                Some(est.to_bytes())
-            }
-            Pipeline::Sharded(_) => None,
-        }
-    }
-
     /// The owned estimator when sequential (edge shipping captures wire
     /// snapshots off it; the sharded pipeline cannot without quiescing).
     fn sequential(&self) -> Option<&ImplicationEstimator> {
@@ -514,28 +461,14 @@ impl Pipeline {
     /// Drains, reassembles (if sharded), publishes the final state, and
     /// returns the owning estimator.
     fn into_final(self) -> ImplicationEstimator {
-        match self {
-            Pipeline::Sequential(mut est) => {
-                est.publish_full();
-                est
-            }
-            Pipeline::Sharded(sharded) => {
-                // finish() barriers, merges, and republishes the merged
-                // state on the inherited channel.
-                let mut est = sharded.finish();
-                est.publish_full();
-                est
-            }
-        }
-    }
-}
-
-/// Atomically replaces `path` with `data` (write temp + rename).
-fn write_checkpoint(path: &str, data: &[u8]) {
-    let tmp = format!("{path}.tmp");
-    let result = std::fs::write(&tmp, data).and_then(|()| std::fs::rename(&tmp, path));
-    if let Err(e) = result {
-        eprintln!("implicate-serve: checkpoint {path}: {e}");
+        let mut est = match self {
+            Pipeline::Sequential(est) => est,
+            // finish() barriers, merges, and republishes the merged state
+            // on the inherited channel.
+            Pipeline::Sharded(sharded) => sharded.finish(),
+        };
+        est.publish_full();
+        est
     }
 }
 
@@ -544,17 +477,12 @@ fn write_checkpoint(path: &str, data: &[u8]) {
 /// newer capture replaces an unsent older one — the wire protocol only
 /// ever needs the newest state, since deltas are computed against the
 /// last snapshot actually *sent*, not the previous capture.
+#[derive(Default)]
 struct ShipSlot {
     latest: Mutex<Option<WireSnapshot>>,
 }
 
 impl ShipSlot {
-    fn new() -> Self {
-        Self {
-            latest: Mutex::new(None),
-        }
-    }
-
     fn store(&self, snap: WireSnapshot) {
         *self.latest.lock().unwrap() = Some(snap);
     }
@@ -568,9 +496,202 @@ impl ShipSlot {
     }
 }
 
-/// Catalog-role control message from an HTTP connection thread to the
-/// catalog writer — the single owner of the [`QueryCatalog`].
-enum CatalogCtrl {
+/// One serve role's writer: the single owner of that role's state, fed
+/// in arrival order by the role's one ingest channel and driven by
+/// [`writer_loop`].
+trait Writer {
+    type Msg: Send;
+    fn apply(&mut self, msg: Self::Msg, shared: &Shared);
+    /// Runs after each [`POLL`] that received nothing.
+    fn idle(&mut self, _shared: &Shared) {}
+    /// Publishes and stores the final state; returns (rows or frames
+    /// this session, final tuple count).
+    fn finish(self, shared: &Shared) -> (u64, u64);
+}
+
+/// The receive loop of every role: applies each message as it arrives
+/// and idles after each quiet [`POLL`] until the stop flag is set or
+/// every sender is gone, then applies what is still queued, stores the
+/// final state and marks the writer done.
+fn writer_loop<W: Writer>(mut writer: W, rx: &Receiver<W::Msg>, shared: &Shared) -> (u64, u64) {
+    loop {
+        match rx.recv_timeout(POLL) {
+            Ok(msg) => writer.apply(msg, shared),
+            Err(RecvTimeoutError::Timeout) if shared.stop.load(Ordering::Acquire) => break,
+            Err(RecvTimeoutError::Timeout) => writer.idle(shared),
+            Err(RecvTimeoutError::Disconnected) => break,
+        }
+    }
+    while let Ok(msg) = rx.try_recv() {
+        writer.apply(msg, shared);
+    }
+    let totals = writer.finish(shared);
+    shared.writer_done.store(true, Ordering::Release);
+    totals
+}
+
+/// The snapshot store of the standalone, edge and aggregator roles:
+/// serves the latest stored state on `GET /snapshot` and writes it to
+/// the `--checkpoint` file as a checkpoint. A checkpoint is due at a
+/// publish once `--checkpoint-every` tuples arrived since the last one.
+struct Checkpoints {
+    path: Option<String>,
+    every: Option<u64>,
+    /// Tuples seen at the last checkpoint (or at startup).
+    last: u64,
+}
+
+impl Checkpoints {
+    fn due(&self, tuples: u64) -> bool {
+        self.every
+            .is_some_and(|n| tuples.saturating_sub(self.last) >= n)
+    }
+
+    /// Serves `data`, the state at `tuples`, on `/snapshot`; as a
+    /// `checkpoint`, also replaces the checkpoint file atomically
+    /// (write temp + rename).
+    fn store(&mut self, shared: &Shared, data: bytes::Bytes, tuples: u64, checkpoint: bool) {
+        if checkpoint {
+            self.last = tuples;
+            if let Some(path) = &self.path {
+                let tmp = format!("{path}.tmp");
+                match std::fs::write(&tmp, &data).and_then(|()| std::fs::rename(&tmp, path)) {
+                    Ok(()) => eprintln!("implicate-serve: checkpointed {tuples} tuples to {path}"),
+                    Err(e) => eprintln!("implicate-serve: checkpoint {path}: {e}"),
+                }
+            }
+        }
+        *shared.snapshot.lock().unwrap() = Some(data);
+    }
+}
+
+/// Edge role: hands wire snapshots of the estimator to the upstream
+/// sender.
+struct Shipper {
+    slot: Arc<ShipSlot>,
+    status: Arc<status::EdgeStatus>,
+    every: u64,
+    keepalive_ms: u64,
+    unshipped: u64,
+    epoch: u64,
+    last_capture: Instant,
+}
+
+impl Shipper {
+    /// Counts `rows` more unshipped rows and ships `est` when due: every
+    /// `every` rows, and when `idle`, for any unshipped row — the stream's
+    /// tail must not wait for a cadence interval that may never fill — or
+    /// on the keep-alive cadence. A keep-alive ships an unchanged-state
+    /// delta of ~20 bytes that keeps the node `live` on the aggregator's
+    /// registry instead of decaying to `stale` for mere quietness.
+    fn ship(&mut self, est: Option<&ImplicationEstimator>, rows: u64, idle: bool) {
+        self.unshipped += rows;
+        let keepalive_due = idle
+            && self.keepalive_ms > 0
+            && self.last_capture.elapsed() >= Duration::from_millis(self.keepalive_ms);
+        if self.unshipped >= self.every || idle && self.unshipped > 0 || keepalive_due {
+            if let Some(est) = est {
+                self.epoch += 1;
+                self.slot.store(WireSnapshot::capture(est, self.epoch));
+            }
+            self.unshipped = 0;
+            self.last_capture = Instant::now();
+        }
+        self.status.set_unshipped(self.unshipped);
+    }
+}
+
+/// Standalone and edge roles: applies hashed row batches to the
+/// pipeline, publishes a view every `--publish-every` rows and when
+/// idle, makes that publish a checkpoint when one is due, and on an
+/// edge ships the state upstream.
+struct TextWriter {
+    pipeline: Pipeline,
+    publish_every: u64,
+    checkpoints: Checkpoints,
+    ship: Option<Shipper>,
+    rows: u64,
+    since_publish: u64,
+    /// Whether the last published view reflects *every* routed row. A
+    /// mid-stream publish races the lanes by design (that is what makes
+    /// it wait-free), so after going idle the writer republishes until a
+    /// view assembled at backlog 0 is out — otherwise readers could be
+    /// pinned forever on an estimate missing the stream's tail.
+    published_settled: bool,
+}
+
+impl TextWriter {
+    fn publish(&mut self, shared: &Shared) {
+        self.since_publish = 0;
+        match &mut self.pipeline {
+            // Mid-run checkpoints need the sequential estimator; sharded
+            // runs checkpoint once, at shutdown.
+            Pipeline::Sequential(est) if self.checkpoints.due(est.tuples_seen()) => {
+                est.publish_full();
+                let tuples = est.tuples_seen();
+                self.checkpoints.store(shared, est.to_bytes(), tuples, true);
+            }
+            pipeline => {
+                pipeline.publish();
+            }
+        }
+    }
+}
+
+impl Writer for TextWriter {
+    type Msg = Vec<(u64, u64)>;
+
+    fn apply(&mut self, batch: Self::Msg, shared: &Shared) {
+        let n = batch.len() as u64;
+        self.pipeline.apply(&batch);
+        self.rows += n;
+        self.since_publish += n;
+        if let Some(ship) = &mut self.ship {
+            ship.ship(self.pipeline.sequential(), n, false);
+        }
+        if self.since_publish >= self.publish_every {
+            self.publish(shared);
+            self.published_settled = self.pipeline.backlog() == 0;
+        }
+    }
+
+    fn idle(&mut self, shared: &Shared) {
+        // Ship any partial per-shard buffers to the lanes (full batches
+        // ship eagerly; partials otherwise wait for more rows), then
+        // publish until a settled view — one assembled with nothing left
+        // in flight — is out.
+        if self.pipeline.backlog() > 0 {
+            self.pipeline.flush();
+        }
+        let settled = self.pipeline.backlog() == 0;
+        if self.since_publish > 0 || !settled || !self.published_settled {
+            self.publish(shared);
+            self.published_settled = settled;
+        }
+        if let Some(ship) = &mut self.ship {
+            ship.ship(self.pipeline.sequential(), 0, true);
+        }
+    }
+
+    fn finish(mut self, shared: &Shared) -> (u64, u64) {
+        let est = self.pipeline.into_final();
+        let tuples = est.tuples_seen();
+        self.checkpoints.store(shared, est.to_bytes(), tuples, true);
+        // The final state always ships (an unchanged-state delta is a few
+        // bytes), so a graceful edge shutdown never strands its tail.
+        if let Some(ship) = &mut self.ship {
+            ship.epoch += 1;
+            ship.slot.store(WireSnapshot::capture(&est, ship.epoch));
+        }
+        (self.rows, tuples)
+    }
+}
+
+/// A message to the catalog writer, the single owner of the
+/// [`QueryCatalog`]: rows from an ingest connection or a control request
+/// from an HTTP connection, applied in arrival order.
+enum CatalogMsg {
+    Rows(Vec<Tuple>),
     /// Parse and register one query-spec line (the body of
     /// `POST /query`); replies with the raw id or a client-readable
     /// error.
@@ -580,7 +701,16 @@ enum CatalogCtrl {
     },
     /// Retire by raw id (`DELETE /query/{id}`); replies with whether
     /// the id was live.
-    Retire { id: u64, reply: SyncSender<bool> },
+    Retire {
+        id: u64,
+        reply: SyncSender<bool>,
+    },
+}
+
+impl From<Vec<Tuple>> for CatalogMsg {
+    fn from(rows: Vec<Tuple>) -> Self {
+        CatalogMsg::Rows(rows)
+    }
 }
 
 /// What a query connection needs to answer `/estimate?query=…` without
@@ -604,112 +734,107 @@ struct CatalogShared {
     /// Latest `QueryCatalog::prometheus_into` rendering, per-query
     /// labeled series included.
     exposition: Mutex<String>,
-    /// Control channel into the catalog writer.
-    ctrl: SyncSender<CatalogCtrl>,
+    /// The catalog writer's channel, for control requests.
+    writer: SyncSender<CatalogMsg>,
 }
 
-/// The catalog role's writer: single owner of the [`QueryCatalog`].
-/// Hashes each incoming row batch attribute-wise exactly once into a
-/// reused [`HashedBatch`], applies it to every registered query,
-/// services register/retire control messages between batches, and
-/// republishes every query's view (plus the metrics exposition) on the
-/// publish cadence.
-///
-/// Returns (rows this session, final tuple count).
-fn catalog_writer_loop(
-    mut catalog: QueryCatalog,
-    batch_rx: &Receiver<Vec<Tuple>>,
-    ctrl_rx: &Receiver<CatalogCtrl>,
-    shared: &Shared,
-    cat: &CatalogShared,
+/// The catalog role's writer. Hashes each incoming row batch
+/// attribute-wise exactly once into a reused [`HashedBatch`], applies it
+/// to every registered query, registers and retires queries in line
+/// with the rows, and republishes every query's view (plus the metrics
+/// exposition) on the publish cadence and when idle.
+struct CatalogWriter {
+    catalog: QueryCatalog,
+    hasher: TupleHasher,
+    hashed: HashedBatch,
+    cat: Arc<CatalogShared>,
     publish_every: u64,
-) -> (u64, u64) {
-    let mut rows = 0u64;
-    let mut since_publish = 0u64;
-    let hasher = catalog.hasher().clone();
-    let mut hashed = HashedBatch::new();
-    let refresh = |catalog: &QueryCatalog, cat: &CatalogShared| {
+    rows: u64,
+    since_publish: u64,
+}
+
+impl CatalogWriter {
+    /// Registers `s` and makes its reader visible to query connections;
+    /// returns the raw id.
+    fn register(&mut self, s: QuerySpec) -> Result<u64, String> {
+        let arity = self.catalog.schema().arity();
+        if s.max_column() >= arity {
+            return Err(format!(
+                "column {} out of range (--arity {arity})",
+                s.max_column()
+            ));
+        }
+        let id = self
+            .catalog
+            .try_register(s.name.clone(), s.query.clone())
+            .map_err(|e| e.to_string())?;
+        let reader = self.catalog.reader(id).expect("just registered");
+        self.cat.queries.lock().unwrap().insert(
+            id.raw(),
+            CatalogQueryHandle {
+                name: s.name,
+                query: s.query,
+                reader,
+            },
+        );
+        Ok(id.raw())
+    }
+
+    /// Re-renders the `/metrics` exposition.
+    fn refresh(&self) {
         let mut text = String::new();
-        catalog.prometheus_into("implicate", &mut text);
-        *cat.exposition.lock().unwrap() = text;
-    };
-    loop {
-        // Control first: a registration must not wait behind a long
-        // run of queued row batches.
-        while let Ok(msg) = ctrl_rx.try_recv() {
-            match msg {
-                CatalogCtrl::Register { line, reply } => {
-                    let result = spec::parse_query_line(&line).and_then(|s| {
-                        if s.max_column() >= catalog.schema().arity() {
-                            return Err(format!(
-                                "column {} out of range (--arity {})",
-                                s.max_column(),
-                                catalog.schema().arity(),
-                            ));
-                        }
-                        let id = catalog
-                            .try_register(s.name.clone(), s.query.clone())
-                            .map_err(|e| e.to_string())?;
-                        let reader = catalog.reader(id).expect("just registered");
-                        cat.queries.lock().unwrap().insert(
-                            id.raw(),
-                            CatalogQueryHandle {
-                                name: s.name,
-                                query: s.query,
-                                reader,
-                            },
-                        );
-                        Ok(id.raw())
-                    });
-                    refresh(&catalog, cat);
-                    let _ = reply.send(result);
-                }
-                CatalogCtrl::Retire { id, reply } => {
-                    let live = catalog.retire(QueryId::from_raw(id));
-                    if live {
-                        cat.queries.lock().unwrap().remove(&id);
-                        refresh(&catalog, cat);
-                    }
-                    let _ = reply.send(live);
-                }
-            }
-        }
-        match batch_rx.recv_timeout(POLL) {
-            Ok(batch) => {
+        self.catalog.prometheus_into("implicate", &mut text);
+        *self.cat.exposition.lock().unwrap() = text;
+    }
+
+    fn publish(&mut self) {
+        self.since_publish = 0;
+        self.catalog.publish();
+        self.refresh();
+    }
+}
+
+impl Writer for CatalogWriter {
+    type Msg = CatalogMsg;
+
+    fn apply(&mut self, msg: CatalogMsg, _shared: &Shared) {
+        match msg {
+            CatalogMsg::Rows(batch) => {
                 let n = batch.len() as u64;
-                hasher.hash_batch(batch, &mut hashed);
-                catalog.process_hashed(&hashed);
-                rows += n;
-                since_publish += n;
-                if since_publish >= publish_every {
-                    since_publish = 0;
-                    catalog.publish();
-                    refresh(&catalog, cat);
+                self.hasher.hash_batch(batch, &mut self.hashed);
+                self.catalog.process_hashed(&self.hashed);
+                self.rows += n;
+                self.since_publish += n;
+                if self.since_publish >= self.publish_every {
+                    self.publish();
                 }
             }
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.stop.load(Ordering::Acquire) {
-                    break;
-                }
-                if since_publish > 0 {
-                    since_publish = 0;
-                    catalog.publish();
-                    refresh(&catalog, cat);
-                }
+            CatalogMsg::Register { line, reply } => {
+                let result = spec::parse_query_line(&line).and_then(|s| self.register(s));
+                self.refresh();
+                let _ = reply.send(result);
             }
-            Err(RecvTimeoutError::Disconnected) => break,
+            CatalogMsg::Retire { id, reply } => {
+                let live = self.catalog.retire(QueryId::from_raw(id));
+                if live {
+                    self.cat.queries.lock().unwrap().remove(&id);
+                    self.refresh();
+                }
+                let _ = reply.send(live);
+            }
         }
     }
-    // Drain anything still queued, then publish the final state.
-    while let Ok(batch) = batch_rx.try_recv() {
-        rows += batch.len() as u64;
-        hasher.hash_batch(batch, &mut hashed);
-        catalog.process_hashed(&hashed);
+
+    fn idle(&mut self, _shared: &Shared) {
+        if self.since_publish > 0 {
+            self.publish();
+        }
     }
-    catalog.publish();
-    refresh(&catalog, cat);
-    shared.writer_done.store(true, Ordering::Release);
-    (rows, catalog.tuples_seen())
+
+    fn finish(mut self, _shared: &Shared) -> (u64, u64) {
+        self.publish();
+        (self.rows, self.catalog.tuples_seen())
+    }
 }
 
 /// Returns true when the peer has half-closed or reset the connection —
@@ -915,164 +1040,128 @@ fn wire_ingest_connection(
     }
 }
 
-/// Applies one frame from an edge to the aggregator's state: peeks the
-/// header, decodes the frame into that node's [`WireDecoder`] replica
-/// (creating it for a node not seen before), counts the frame's tuples
-/// as accepted, records it on the fleet registry, then re-merges every
-/// held replica into a fresh same-configuration estimator that `serving`
-/// adopts. Returns whether the frame was applied.
-///
-/// A frame that fails to apply resets that node's replica, journals a
-/// flight recording and sets `kill`, so the connection drops and the
-/// edge reconnects to resync with a full snapshot.
-fn apply_frame(
-    frame: bytes::Bytes,
-    kill: &AtomicBool,
-    serving: &mut ImplicationEstimator,
-    template: &EstimatorConfig,
-    decoders: &mut HashMap<u64, WireDecoder>,
-    shared: &Shared,
-) -> bool {
-    // node_id is authenticated by nothing but the header — this is a
-    // trusted-network protocol, as WIRE.md states (the ingest connection
-    // pins it so it cannot *switch*).
-    let peeked = match peek_frame(&frame) {
-        Ok(Some(h)) => h,
-        _ => {
-            kill.store(true, Ordering::Release);
-            return false;
-        }
-    };
-    let node = peeked.node_id;
-    let frame_bytes = frame.len() as u64;
-    let decoder = decoders.entry(node).or_insert_with(|| {
-        WireDecoder::new()
-            .require_matching(serving)
-            .with_metrics(serving.metrics().clone())
-            .with_trace(serving.trace().clone())
-    });
-    match decoder.apply(frame) {
-        Ok(header) => {
-            shared.accepted.fetch_add(header.tuples, Ordering::Relaxed);
-            if let Some(fleet) = &shared.fleet {
-                fleet.record_frame(
-                    node,
-                    header.kind,
-                    frame_bytes,
-                    header.epoch,
-                    header.tuples,
-                    shared.now_ms(),
-                );
+/// The aggregator's writer: the single owner of the serving estimator
+/// and of one [`WireDecoder`] replica per edge node. After every applied
+/// frame it republishes (readers keep their wait-free channel across
+/// re-aggregations), serves the new state on `/snapshot` and checkpoints
+/// when one is due.
+struct AggregateWriter {
+    serving: ImplicationEstimator,
+    template: EstimatorConfig,
+    decoders: HashMap<u64, WireDecoder>,
+    checkpoints: Checkpoints,
+    frames: u64,
+}
+
+impl AggregateWriter {
+    /// Applies one frame from an edge to the aggregator's state: peeks the
+    /// header, decodes the frame into that node's [`WireDecoder`] replica
+    /// (creating it for a node not seen before), counts the frame's tuples
+    /// as accepted, records it on the fleet registry, then re-merges every
+    /// held replica into a fresh same-configuration estimator that the serving
+    /// estimator adopts. Returns whether the frame was applied.
+    ///
+    /// A frame that fails to apply resets that node's replica, journals a
+    /// flight recording and sets `kill`, so the connection drops and the
+    /// edge reconnects to resync with a full snapshot.
+    fn apply_frame(&mut self, frame: bytes::Bytes, kill: &AtomicBool, shared: &Shared) -> bool {
+        // node_id is authenticated by nothing but the header — this is a
+        // trusted-network protocol, as WIRE.md states (the ingest connection
+        // pins it so it cannot *switch*).
+        let peeked = match peek_frame(&frame) {
+            Ok(Some(h)) => h,
+            _ => {
+                kill.store(true, Ordering::Release);
+                return false;
             }
-            let merge_started = std::time::Instant::now();
-            let mut merged = template.build();
-            for dec in decoders.values() {
-                if let Some(replica) = dec.estimator() {
-                    merged.merge(replica);
+        };
+        let node = peeked.node_id;
+        let frame_bytes = frame.len() as u64;
+        let decoder = self.decoders.entry(node).or_insert_with(|| {
+            WireDecoder::new()
+                .require_matching(&self.serving)
+                .with_metrics(self.serving.metrics().clone())
+                .with_trace(self.serving.trace().clone())
+        });
+        match decoder.apply(frame) {
+            Ok(header) => {
+                shared.accepted.fetch_add(header.tuples, Ordering::Relaxed);
+                if let Some(fleet) = &shared.fleet {
+                    fleet.record_frame(
+                        node,
+                        header.kind,
+                        frame_bytes,
+                        header.epoch,
+                        header.tuples,
+                        shared.now_ms(),
+                    );
                 }
+                let merge_started = std::time::Instant::now();
+                let mut merged = self.template.build();
+                for dec in self.decoders.values() {
+                    if let Some(replica) = dec.estimator() {
+                        merged.merge(replica);
+                    }
+                }
+                self.serving.adopt_state(merged);
+                if let Some(fleet) = &shared.fleet {
+                    fleet.observe_merge_nanos(merge_started.elapsed().as_nanos() as u64);
+                }
+                true
             }
-            serving.adopt_state(merged);
-            if let Some(fleet) = &shared.fleet {
-                fleet.observe_merge_nanos(merge_started.elapsed().as_nanos() as u64);
+            Err(e) => {
+                eprintln!("implicate-serve: frame from node {node}: {e}");
+                if let Some(fleet) = &shared.fleet {
+                    fleet.record_error(node, Some(peeked.epoch), shared.now_ms());
+                }
+                if let Some(recorder) = &shared.flight {
+                    let context = format!(
+                        "{{\"reason\":\"decode_error\",\"node_id\":{node},\
+                         \"epoch\":{},\"error\":\"{}\",\"detail\":{}}}",
+                        peeked.epoch,
+                        e.name(),
+                        flight::json_string(&e.to_string()),
+                    );
+                    recorder.record(
+                        "decode_error",
+                        &context,
+                        shared.trace.journal().map(|j| j.to_jsonl()).as_deref(),
+                    );
+                }
+                decoder.reset();
+                kill.store(true, Ordering::Release);
+                false
             }
-            true
-        }
-        Err(e) => {
-            eprintln!("implicate-serve: frame from node {node}: {e}");
-            if let Some(fleet) = &shared.fleet {
-                fleet.record_error(node, Some(peeked.epoch), shared.now_ms());
-            }
-            if let Some(recorder) = &shared.flight {
-                let context = format!(
-                    "{{\"reason\":\"decode_error\",\"node_id\":{node},\
-                     \"epoch\":{},\"error\":\"{}\",\"detail\":{}}}",
-                    peeked.epoch,
-                    e.name(),
-                    flight::json_string(&e.to_string()),
-                );
-                recorder.record(
-                    "decode_error",
-                    &context,
-                    shared.trace.journal().map(|j| j.to_jsonl()).as_deref(),
-                );
-            }
-            decoder.reset();
-            kill.store(true, Ordering::Release);
-            false
         }
     }
 }
 
-/// The aggregator's writer: the single owner of the serving estimator
-/// and of one [`WireDecoder`] replica per edge node.
-///
-/// Every successfully applied frame ([`apply_frame`]) re-merges all held
-/// replicas into the serving writer, which then republishes — readers
-/// keep their wait-free channel across re-aggregations — and writes a
-/// checkpoint when one is due. Frames still queued at shutdown are
-/// applied the same way before one final publish and checkpoint.
-///
-/// Returns (frames applied, final tuple count).
-fn aggregate_writer_loop(
-    mut serving: ImplicationEstimator,
-    template: &EstimatorConfig,
-    frame_rx: &Receiver<(bytes::Bytes, Arc<AtomicBool>)>,
-    shared: &Shared,
-    checkpoint: Option<&str>,
-    checkpoint_every: Option<u64>,
-) -> (u64, u64) {
-    let mut decoders: HashMap<u64, WireDecoder> = HashMap::new();
-    let mut frames = 0u64;
-    let mut tuples_at_checkpoint = serving.tuples_seen();
-    loop {
-        match frame_rx.recv_timeout(POLL) {
-            Ok((frame, kill)) => {
-                if !apply_frame(frame, &kill, &mut serving, template, &mut decoders, shared) {
-                    continue;
-                }
-                frames += 1;
-                let publish_started = std::time::Instant::now();
-                serving.publish_full();
-                let data = serving.to_bytes();
-                if let Some(fleet) = &shared.fleet {
-                    fleet.observe_publish_nanos(publish_started.elapsed().as_nanos() as u64);
-                }
-                if let Some(path) = checkpoint {
-                    let due = checkpoint_every.is_some_and(|n| {
-                        serving.tuples_seen().saturating_sub(tuples_at_checkpoint) >= n
-                    });
-                    if due {
-                        tuples_at_checkpoint = serving.tuples_seen();
-                        write_checkpoint(path, &data);
-                    }
-                }
-                *shared.snapshot.lock().unwrap() = Some(data);
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.stop.load(Ordering::Acquire) {
-                    break;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
+impl Writer for AggregateWriter {
+    type Msg = (bytes::Bytes, Arc<AtomicBool>);
+
+    fn apply(&mut self, (frame, kill): Self::Msg, shared: &Shared) {
+        if !self.apply_frame(frame, &kill, shared) {
+            return;
         }
-    }
-    while let Ok((frame, kill)) = frame_rx.try_recv() {
-        if apply_frame(frame, &kill, &mut serving, template, &mut decoders, shared) {
-            frames += 1;
+        self.frames += 1;
+        let publish_started = Instant::now();
+        self.serving.publish_full();
+        let data = self.serving.to_bytes();
+        if let Some(fleet) = &shared.fleet {
+            fleet.observe_publish_nanos(publish_started.elapsed().as_nanos() as u64);
         }
+        let tuples = self.serving.tuples_seen();
+        let due = self.checkpoints.due(tuples);
+        self.checkpoints.store(shared, data, tuples, due);
     }
-    serving.publish_full();
-    let data = serving.to_bytes();
-    if let Some(path) = checkpoint {
-        write_checkpoint(path, &data);
-        eprintln!(
-            "implicate-serve: checkpointed {} tuples to {path}",
-            serving.tuples_seen()
-        );
+
+    fn finish(mut self, shared: &Shared) -> (u64, u64) {
+        self.serving.publish_full();
+        let tuples = self.serving.tuples_seen();
+        self.checkpoints
+            .store(shared, self.serving.to_bytes(), tuples, true);
+        (self.frames, tuples)
     }
-    *shared.snapshot.lock().unwrap() = Some(data);
-    shared.writer_done.store(true, Ordering::Release);
-    (frames, serving.tuples_seen())
 }
 
 fn main() {
@@ -1184,122 +1273,122 @@ fn main() {
     println!("serve: query listening on {query_addr}");
     std::io::stdout().flush().ok();
 
-    let (batch_tx, batch_rx) = sync_channel::<Vec<(u64, u64)>>(INGEST_DEPTH);
-    let (frame_tx, frame_rx) = sync_channel::<(bytes::Bytes, Arc<AtomicBool>)>(INGEST_DEPTH);
-    let (tuple_tx, tuple_rx) = sync_channel::<Vec<Tuple>>(INGEST_DEPTH);
-    let (ctrl_tx, ctrl_rx) = sync_channel::<CatalogCtrl>(INGEST_DEPTH);
-
-    // Catalog role: query connections resolve per-query readers and
-    // push register/retire control messages through this shared block.
-    let cat_shared: Option<Arc<CatalogShared>> = opts.catalog.then(|| {
-        Arc::new(CatalogShared {
-            queries: Mutex::new(HashMap::new()),
-            exposition: Mutex::new(String::new()),
-            ctrl: ctrl_tx,
-        })
-    });
-
     // Edge role: the writer hands captured wire snapshots to the
     // upstream sender through this keep-latest slot.
-    let ship_slot = opts.upstream.as_ref().map(|_| Arc::new(ShipSlot::new()));
+    let ship_slot = opts
+        .upstream
+        .as_ref()
+        .map(|_| Arc::new(ShipSlot::default()));
 
-    // Writer thread: the single owner of estimator mutation.
+    // Each role has one ingest channel, from its ingest connections (and
+    // in the catalog role, its control requests) to its writer thread:
+    // the single owner of estimator mutation.
+    ingest_listener.set_nonblocking(true).expect("nonblocking");
+    let checkpoints = Checkpoints {
+        path: opts.checkpoint.clone(),
+        every: opts.checkpoint_every,
+        last: est.tuples_seen(),
+    };
+    let mut cat_shared = None;
     let writer = if opts.catalog {
+        let (tx, rx) = sync_channel(INGEST_DEPTH);
         let schema = Schema::new((0..opts.arity).map(|i| (format!("c{i}"), 0)));
-        let mut catalog_engine = QueryCatalog::new(&schema, opts.config);
-        catalog_engine.set_trace(shared.trace.clone());
-        let cat = Arc::clone(cat_shared.as_ref().expect("catalog mode"));
-        // Preload from --query-file (same grammar as POST /query);
-        // any bad line is a startup error, not a silently-empty
-        // catalog.
+        let mut catalog = QueryCatalog::new(&schema, opts.config);
+        catalog.set_trace(shared.trace.clone());
+        let cat = Arc::new(CatalogShared {
+            queries: Mutex::new(HashMap::new()),
+            exposition: Mutex::new(String::new()),
+            writer: tx.clone(),
+        });
+        let mut writer = CatalogWriter {
+            hasher: catalog.hasher().clone(),
+            catalog,
+            hashed: HashedBatch::new(),
+            cat: Arc::clone(&cat),
+            publish_every: opts.publish_every,
+            rows: 0,
+            since_publish: 0,
+        };
+        // Preload from --query-file (same grammar as POST /query); any
+        // bad line is a startup error, not a silently-empty catalog.
         if let Some(path) = &opts.query_file {
             let text =
                 std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
             let specs =
                 spec::parse_query_file(&text).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-            let mut queries = cat.queries.lock().unwrap();
             for s in specs {
-                if s.max_column() >= opts.arity {
-                    die(&format!(
-                        "{path}: query {:?} touches column {} (--arity {})",
-                        s.name,
-                        s.max_column(),
-                        opts.arity,
-                    ));
+                let name = s.name.clone();
+                if let Err(e) = writer.register(s) {
+                    die(&format!("{path}: query {name:?}: {e}"));
                 }
-                let id = catalog_engine
-                    .try_register(s.name.clone(), s.query.clone())
-                    .unwrap_or_else(|e| die(&format!("{path}: {}: {e}", s.name)));
-                let reader = catalog_engine.reader(id).expect("just registered");
-                queries.insert(
-                    id.raw(),
-                    CatalogQueryHandle {
-                        name: s.name,
-                        query: s.query,
-                        reader,
-                    },
-                );
             }
-            drop(queries);
             eprintln!(
                 "implicate-serve: preloaded {} queries from {path}",
-                catalog_engine.len()
+                writer.catalog.len()
             );
         }
-        let mut text = String::new();
-        catalog_engine.prometheus_into("implicate", &mut text);
-        *cat.exposition.lock().unwrap() = text;
+        writer.refresh();
+        cat_shared = Some(cat);
+        let rows = RowReader::new(&(0..opts.arity).collect::<Vec<_>>(), opts.delimiter);
+        spawn_text_ingest(ingest_listener, Arc::clone(&shared), rows, tx, |w| {
+            Tuple::new(w)
+        });
         let shared = Arc::clone(&shared);
-        let publish_every = opts.publish_every;
-        std::thread::spawn(move || {
-            catalog_writer_loop(
-                catalog_engine,
-                &tuple_rx,
-                &ctrl_rx,
-                &shared,
-                &cat,
-                publish_every,
-            )
-        })
+        std::thread::spawn(move || writer_loop(writer, &rx, &shared))
     } else if opts.aggregate {
-        let shared = Arc::clone(&shared);
-        let template = opts.config;
-        let checkpoint = opts.checkpoint.clone();
-        let checkpoint_every = opts.checkpoint_every;
+        let (tx, rx) = sync_channel(INGEST_DEPTH);
+        let acceptor_shared = Arc::clone(&shared);
         std::thread::spawn(move || {
-            aggregate_writer_loop(
-                est,
-                &template,
-                &frame_rx,
-                &shared,
-                checkpoint.as_deref(),
-                checkpoint_every,
-            )
-        })
+            accept_loop(&ingest_listener, &acceptor_shared, move |stream, shared| {
+                let tx = tx.clone();
+                std::thread::spawn(move || wire_ingest_connection(stream, &shared, &tx));
+            });
+        });
+        let writer = AggregateWriter {
+            serving: est,
+            template: opts.config,
+            decoders: HashMap::new(),
+            checkpoints,
+            frames: 0,
+        };
+        let shared = Arc::clone(&shared);
+        std::thread::spawn(move || writer_loop(writer, &rx, &shared))
     } else {
+        let (tx, rx) = sync_channel(INGEST_DEPTH);
+        let rows = RowReader::new(&[&opts.lhs[..], &opts.rhs[..]].concat(), opts.delimiter);
+        let split = opts.lhs.len();
+        spawn_text_ingest(ingest_listener, Arc::clone(&shared), rows, tx, move |w| {
+            let (a, b) = w.split_at(split);
+            pair_hasher.hash_pair(a, b)
+        });
         let pipeline = if opts.threads > 1 {
             Pipeline::Sharded(ShardedEstimator::new(est, opts.threads))
         } else {
             Pipeline::Sequential(est)
         };
-        let shared = Arc::clone(&shared);
-        let publish_every = opts.publish_every;
-        let checkpoint = opts.checkpoint.clone();
-        let checkpoint_every = opts.checkpoint_every;
         let ship = ship_slot
             .as_ref()
-            .map(|slot| (Arc::clone(slot), opts.ship_every, opts.keepalive_ms));
-        std::thread::spawn(move || {
-            writer_loop(
-                pipeline,
-                &batch_rx,
-                &shared,
-                publish_every,
-                checkpoint.as_deref(),
-                checkpoint_every,
-                ship,
-            )
-        })
+            .zip(shared.edge.as_ref())
+            .map(|(slot, status)| Shipper {
+                slot: Arc::clone(slot),
+                status: Arc::clone(status),
+                every: opts.ship_every,
+                keepalive_ms: opts.keepalive_ms,
+                unshipped: 0,
+                epoch: 0,
+                last_capture: Instant::now(),
+            });
+        let writer = TextWriter {
+            pipeline,
+            publish_every: opts.publish_every,
+            checkpoints,
+            ship,
+            rows: 0,
+            since_publish: 0,
+            published_settled: true,
+        };
+        let shared = Arc::clone(&shared);
+        std::thread::spawn(move || writer_loop(writer, &rx, &shared))
     };
 
     // Upstream sender (edge role).
@@ -1316,45 +1405,11 @@ fn main() {
         _ => None,
     };
 
-    // Ingest acceptor: wire frames when aggregating, text rows otherwise.
-    {
-        let shared = Arc::clone(&shared);
-        ingest_listener.set_nonblocking(true).expect("nonblocking");
-        if opts.aggregate {
-            let frame_tx = frame_tx.clone();
-            std::thread::spawn(move || {
-                accept_loop(&ingest_listener, &shared, move |stream, shared| {
-                    let tx = frame_tx.clone();
-                    std::thread::spawn(move || {
-                        wire_ingest_connection(stream, &shared, &tx);
-                    });
-                });
-            });
-        } else if opts.catalog {
-            let rows = RowReader::new(&(0..opts.arity).collect::<Vec<_>>(), opts.delimiter);
-            spawn_text_ingest(ingest_listener, shared, rows, tuple_tx.clone(), |w| {
-                Tuple::new(w)
-            });
-        } else {
-            let rows = RowReader::new(&[&opts.lhs[..], &opts.rhs[..]].concat(), opts.delimiter);
-            let split = opts.lhs.len();
-            spawn_text_ingest(ingest_listener, shared, rows, batch_tx.clone(), move |w| {
-                let (a, b) = w.split_at(split);
-                pair_hasher.hash_pair(a, b)
-            });
-        }
-    }
-    // The writer must observe channel disconnect once every ingest
-    // connection is gone at shutdown.
-    drop(batch_tx);
-    drop(frame_tx);
-    drop(tuple_tx);
-
     // Query acceptor.
     {
         let shared = Arc::clone(&shared);
         query_listener.set_nonblocking(true).expect("nonblocking");
-        let cat = cat_shared.clone();
+        let cat: Option<Arc<CatalogShared>> = cat_shared.clone();
         std::thread::spawn(move || {
             accept_loop(&query_listener, &shared, move |stream, shared| {
                 let reader = reader_proto.clone();
@@ -1386,11 +1441,11 @@ fn main() {
 /// Serves the text line protocol on `listener`: one thread per
 /// connection, each running [`ingest_connection`] with its own copy of
 /// `rows` and sending `item`-built batches to the writer over `tx`.
-fn spawn_text_ingest<T: Send + 'static>(
+fn spawn_text_ingest<T: 'static, M: From<Vec<T>> + Send + 'static>(
     listener: TcpListener,
     shared: Arc<Shared>,
     rows: RowReader,
-    tx: SyncSender<Vec<T>>,
+    tx: SyncSender<M>,
     item: impl Fn(&[u64]) -> T + Clone + Send + 'static,
 ) {
     std::thread::spawn(move || {
@@ -1418,147 +1473,15 @@ fn accept_loop<F: Fn(TcpStream, Arc<Shared>)>(
     }
 }
 
-/// The single mutation owner: applies batches, publishes views on the
-/// configured cadence, checkpoints, and performs the graceful-shutdown
-/// drain. Returns (rows this session, final tuple count).
-fn writer_loop(
-    mut pipeline: Pipeline,
-    batch_rx: &Receiver<Vec<(u64, u64)>>,
-    shared: &Shared,
-    publish_every: u64,
-    checkpoint: Option<&str>,
-    checkpoint_every: Option<u64>,
-    ship: Option<(Arc<ShipSlot>, u64, u64)>,
-) -> (u64, u64) {
-    let mut rows = 0u64;
-    let mut since_publish = 0u64;
-    let mut since_checkpoint = 0u64;
-    let mut since_ship = 0u64;
-    let mut ship_epoch = 0u64;
-    let mut last_capture = std::time::Instant::now();
-    // Captures the sequential estimator's state into the ship slot
-    // under the next wire epoch (edge role only).
-    let capture = |pipeline: &Pipeline, ship_epoch: &mut u64| {
-        if let (Some((slot, _, _)), Some(est)) = (&ship, pipeline.sequential()) {
-            *ship_epoch += 1;
-            slot.store(WireSnapshot::capture(est, *ship_epoch));
-        }
-    };
-    // Whether the last published view reflects *every* routed row. A
-    // mid-stream publish races the lanes by design (that is what makes
-    // it wait-free), so after going idle the writer republishes until a
-    // view assembled at backlog 0 is out — otherwise readers could be
-    // pinned forever on an estimate missing the stream's tail.
-    let mut published_settled = true;
-    loop {
-        match batch_rx.recv_timeout(POLL) {
-            Ok(batch) => {
-                let n = batch.len() as u64;
-                pipeline.apply(&batch);
-                rows += n;
-                since_publish += n;
-                since_checkpoint += n;
-                since_ship += n;
-                if ship
-                    .as_ref()
-                    .is_some_and(|(_, every, _)| since_ship >= *every)
-                {
-                    since_ship = 0;
-                    capture(&pipeline, &mut ship_epoch);
-                    last_capture = std::time::Instant::now();
-                }
-                if let Some(edge) = &shared.edge {
-                    edge.set_unshipped(since_ship);
-                }
-                if since_publish >= publish_every {
-                    since_publish = 0;
-                    if checkpoint_every.is_some_and(|n| since_checkpoint >= n) {
-                        since_checkpoint = 0;
-                        if let Some(data) = pipeline.publish_full() {
-                            if let Some(path) = checkpoint {
-                                write_checkpoint(path, &data);
-                            }
-                            *shared.snapshot.lock().unwrap() = Some(data);
-                        }
-                    } else {
-                        pipeline.publish();
-                    }
-                    published_settled = pipeline.backlog() == 0;
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.stop.load(Ordering::Acquire) {
-                    break;
-                }
-                // Idle: ship any partial per-shard buffers to the lanes
-                // (full batches ship eagerly; partials otherwise wait
-                // for more rows), then publish until a settled view —
-                // one assembled with nothing left in flight — is out.
-                if pipeline.backlog() > 0 {
-                    pipeline.flush();
-                }
-                let settled = pipeline.backlog() == 0;
-                if since_publish > 0 || !settled || !published_settled {
-                    since_publish = 0;
-                    pipeline.publish();
-                    published_settled = settled;
-                }
-                // Idle edges ship the stream's tail: rows that arrived
-                // since the last capture must not wait for a full
-                // cadence interval that may never fill. Fully-idle
-                // edges still ship on the keep-alive cadence — the
-                // resulting unchanged-state delta is ~20 bytes, and it
-                // keeps the node `live` on the aggregator's registry
-                // instead of decaying to `stale` for mere quietness.
-                let keepalive_due = ship.as_ref().is_some_and(|(_, _, ka_ms)| {
-                    *ka_ms > 0 && last_capture.elapsed() >= Duration::from_millis(*ka_ms)
-                });
-                if since_ship > 0 || keepalive_due {
-                    since_ship = 0;
-                    capture(&pipeline, &mut ship_epoch);
-                    last_capture = std::time::Instant::now();
-                }
-                if let Some(edge) = &shared.edge {
-                    edge.set_unshipped(since_ship);
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    // Drain anything still queued, then publish the final state.
-    while let Ok(batch) = batch_rx.try_recv() {
-        rows += batch.len() as u64;
-        pipeline.apply(&batch);
-    }
-    let est = pipeline.into_final();
-    let data = est.to_bytes();
-    if let Some(path) = checkpoint {
-        write_checkpoint(path, &data);
-        eprintln!(
-            "implicate-serve: checkpointed {} tuples to {path}",
-            est.tuples_seen()
-        );
-    }
-    *shared.snapshot.lock().unwrap() = Some(data);
-    // The final state always ships (an unchanged-state delta is a few
-    // bytes), so a graceful edge shutdown never strands its tail.
-    if let Some((slot, _, _)) = &ship {
-        ship_epoch += 1;
-        slot.store(WireSnapshot::capture(&est, ship_epoch));
-    }
-    shared.writer_done.store(true, Ordering::Release);
-    (rows, est.tuples_seen())
-}
-
 /// One text ingest connection: rows through the shared front end
 /// ([`RowReader`]), each row's field words made a batch item by `item`
 /// (a hashed pair, or a catalog tuple), batches shipped to the writer.
 /// Rows too short for the reader's columns count as skipped.
-fn ingest_connection<T>(
+fn ingest_connection<T, M: From<Vec<T>>>(
     stream: TcpStream,
     shared: &Shared,
     mut rows: RowReader,
-    tx: &SyncSender<Vec<T>>,
+    tx: &SyncSender<M>,
     item: impl Fn(&[u64]) -> T,
 ) {
     stream.set_read_timeout(Some(POLL)).ok();
@@ -1573,7 +1496,7 @@ fn ingest_connection<T>(
                 shared.accepted.fetch_add(1, Ordering::Relaxed);
                 if batch.len() >= INGEST_BATCH {
                     let full = std::mem::replace(&mut batch, Vec::with_capacity(INGEST_BATCH));
-                    if tx.send(full).is_err() {
+                    if tx.send(full.into()).is_err() {
                         return;
                     }
                 }
@@ -1592,7 +1515,7 @@ fn ingest_connection<T>(
                 // for stop.
                 if !batch.is_empty() {
                     let partial = std::mem::take(&mut batch);
-                    if tx.send(partial).is_err() {
+                    if tx.send(partial.into()).is_err() {
                         return;
                     }
                 }
@@ -1604,8 +1527,30 @@ fn ingest_connection<T>(
         }
     }
     if !batch.is_empty() {
-        let _ = tx.send(batch);
+        let _ = tx.send(batch.into());
     }
+}
+
+/// An HTTP answer: status, content type, body.
+type Answer = (&'static str, &'static str, Vec<u8>);
+
+/// Sends the control request `msg` builds to the catalog writer and
+/// waits up to 5 s for its reply; the error is the `503` answer.
+fn ask_writer<R>(
+    cat: &CatalogShared,
+    msg: impl FnOnce(SyncSender<R>) -> CatalogMsg,
+) -> Result<R, Answer> {
+    let unavailable = |why: &str| {
+        let body = format!("catalog writer {why}\n").into_bytes();
+        ("503 Service Unavailable", "text/plain", body)
+    };
+    let (reply_tx, reply_rx) = sync_channel(1);
+    cat.writer
+        .send(msg(reply_tx))
+        .map_err(|_| unavailable("is gone"))?;
+    reply_rx
+        .recv_timeout(Duration::from_secs(5))
+        .map_err(|_| unavailable("timed out"))
 }
 
 /// Routes specific to the catalog role; `None` falls through to the
@@ -1617,7 +1562,7 @@ fn catalog_route(
     body_in: &[u8],
     cat: &CatalogShared,
     shared: &Shared,
-) -> Option<(&'static str, &'static str, Vec<u8>)> {
+) -> Option<Answer> {
     match (method, route) {
         ("GET", "/estimate") => {
             let Some(wanted) = query_string
@@ -1695,19 +1640,11 @@ fn catalog_route(
                     b"empty body: expected one query spec line\n".to_vec(),
                 ));
             }
-            let (reply_tx, reply_rx) = sync_channel(1);
-            let msg = CatalogCtrl::Register {
+            let reply = ask_writer(cat, |reply| CatalogMsg::Register {
                 line: line.to_string(),
-                reply: reply_tx,
-            };
-            if cat.ctrl.send(msg).is_err() {
-                return Some((
-                    "503 Service Unavailable",
-                    "text/plain",
-                    b"catalog writer is gone\n".to_vec(),
-                ));
-            }
-            match reply_rx.recv_timeout(Duration::from_secs(5)) {
+                reply,
+            });
+            Some(match reply {
                 Ok(Ok(id)) => {
                     let name = cat
                         .queries
@@ -1724,13 +1661,8 @@ fn catalog_route(
                     "text/plain",
                     format!("{e}\n").into_bytes(),
                 ),
-                Err(_) => (
-                    "503 Service Unavailable",
-                    "text/plain",
-                    b"catalog writer timed out\n".to_vec(),
-                ),
-            }
-            .into()
+                Err(unavailable) => unavailable,
+            })
         }
         ("DELETE", _) if route.starts_with("/query/") => {
             let Ok(id) = route["/query/".len()..].parse::<u64>() else {
@@ -1740,36 +1672,21 @@ fn catalog_route(
                     b"DELETE /query/{numeric-id}\n".to_vec(),
                 ));
             };
-            let (reply_tx, reply_rx) = sync_channel(1);
-            let msg = CatalogCtrl::Retire {
-                id,
-                reply: reply_tx,
-            };
-            if cat.ctrl.send(msg).is_err() {
-                return Some((
-                    "503 Service Unavailable",
-                    "text/plain",
-                    b"catalog writer is gone\n".to_vec(),
-                ));
-            }
-            match reply_rx.recv_timeout(Duration::from_secs(5)) {
-                Ok(true) => (
-                    "200 OK",
-                    "text/plain",
-                    format!("retired {id}\n").into_bytes(),
-                ),
-                Ok(false) => (
-                    "404 Not Found",
-                    "text/plain",
-                    format!("no query {id}\n").into_bytes(),
-                ),
-                Err(_) => (
-                    "503 Service Unavailable",
-                    "text/plain",
-                    b"catalog writer timed out\n".to_vec(),
-                ),
-            }
-            .into()
+            Some(
+                match ask_writer(cat, |reply| CatalogMsg::Retire { id, reply }) {
+                    Ok(true) => (
+                        "200 OK",
+                        "text/plain",
+                        format!("retired {id}\n").into_bytes(),
+                    ),
+                    Ok(false) => (
+                        "404 Not Found",
+                        "text/plain",
+                        format!("no query {id}\n").into_bytes(),
+                    ),
+                    Err(unavailable) => unavailable,
+                },
+            )
         }
         ("GET", "/metrics") => Some((
             "200 OK",
@@ -1972,11 +1889,26 @@ fn refuse(mut stream: TcpStream, status: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use implicate::ImplicationConditions;
 
     fn template() -> EstimatorConfig {
         EstimatorConfig::new(ImplicationConditions::strict_one_to_one(1))
             .bitmaps(16)
             .seed(5)
+    }
+
+    fn writer() -> AggregateWriter {
+        AggregateWriter {
+            serving: template().build(),
+            template: template(),
+            decoders: HashMap::new(),
+            checkpoints: Checkpoints {
+                path: None,
+                every: None,
+                last: 0,
+            },
+            frames: 0,
+        }
     }
 
     fn aggregator() -> Shared {
@@ -2008,54 +1940,31 @@ mod tests {
     #[test]
     fn a_full_frame_from_an_unseen_node_is_applied_and_counted() {
         let shared = aggregator();
-        let mut serving = template().build();
-        let mut decoders = HashMap::new();
+        let mut writer = writer();
         let kill = AtomicBool::new(false);
-        let applied = apply_frame(
-            full_frame(7, 500),
-            &kill,
-            &mut serving,
-            &template(),
-            &mut decoders,
-            &shared,
-        );
+        let applied = writer.apply_frame(full_frame(7, 500), &kill, &shared);
         assert!(applied);
         assert!(!kill.load(Ordering::Acquire));
         assert_eq!(shared.accepted.load(Ordering::Relaxed), 500);
-        assert_eq!(serving.tuples_seen(), 500);
-        assert!(decoders[&7].estimator().is_some());
+        assert_eq!(writer.serving.tuples_seen(), 500);
+        assert!(writer.decoders[&7].estimator().is_some());
     }
 
     #[test]
     fn a_corrupt_frame_kills_the_connection_and_resets_the_node() {
         let shared = aggregator();
-        let mut serving = template().build();
-        let mut decoders = HashMap::new();
+        let mut writer = writer();
         let kill = AtomicBool::new(false);
-        assert!(apply_frame(
-            full_frame(7, 500),
-            &kill,
-            &mut serving,
-            &template(),
-            &mut decoders,
-            &shared,
-        ));
+        assert!(writer.apply_frame(full_frame(7, 500), &kill, &shared));
         // The header still parses, but the body is one byte short. A
         // failed full frame leaves the decoder's state as it was, so the
         // reset is apply_frame's doing.
         let good = full_frame(7, 800);
         let corrupt = good.slice(0..good.len() - 1);
-        let applied = apply_frame(
-            corrupt,
-            &kill,
-            &mut serving,
-            &template(),
-            &mut decoders,
-            &shared,
-        );
+        let applied = writer.apply_frame(corrupt, &kill, &shared);
         assert!(!applied);
         assert!(kill.load(Ordering::Acquire));
-        assert!(decoders[&7].estimator().is_none());
+        assert!(writer.decoders[&7].estimator().is_none());
         assert_eq!(shared.accepted.load(Ordering::Relaxed), 500);
     }
 }

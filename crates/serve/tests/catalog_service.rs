@@ -3,161 +3,12 @@
 //! on the aggregator's registry instead of decaying to `stale` for
 //! mere quietness.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use implicate::lint_prometheus;
 
-const DEADLINE: Duration = Duration::from_secs(60);
-
-/// Kills the child process if the test panics before shutdown.
-struct Server {
-    child: Child,
-    ingest: String,
-    query: String,
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-impl Server {
-    fn spawn(extra: &[&str]) -> Server {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_implicate-serve"))
-            .args(extra)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn implicate-serve");
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut lines = std::io::BufRead::lines(std::io::BufReader::new(stdout));
-        let mut next = || {
-            lines
-                .next()
-                .expect("server announced an address")
-                .expect("readable stdout")
-        };
-        let ingest = next()
-            .strip_prefix("serve: ingest listening on ")
-            .expect("ingest announcement")
-            .to_string();
-        let query = next()
-            .strip_prefix("serve: query listening on ")
-            .expect("query announcement")
-            .to_string();
-        Server {
-            child,
-            ingest,
-            query,
-        }
-    }
-
-    fn ingest_rows(&self, rows: &str) {
-        let mut conn = TcpStream::connect(&self.ingest).expect("connect ingest");
-        conn.write_all(rows.as_bytes()).expect("send rows");
-        conn.flush().expect("flush rows");
-    }
-
-    /// One HTTP exchange; returns (status line, body).
-    fn http(&self, method: &str, path: &str, body: &str) -> (String, String) {
-        let mut conn = TcpStream::connect(&self.query).expect("connect query");
-        conn.write_all(
-            format!(
-                "{method} {path} HTTP/1.0\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
-                body.len()
-            )
-            .as_bytes(),
-        )
-        .expect("send request");
-        let mut response = Vec::new();
-        conn.read_to_end(&mut response).expect("read response");
-        let split = response
-            .windows(4)
-            .position(|w| w == b"\r\n\r\n")
-            .expect("header terminator");
-        let head = String::from_utf8_lossy(&response[..split]);
-        let status = head.lines().next().unwrap_or("").to_string();
-        (
-            status,
-            String::from_utf8_lossy(&response[split + 4..]).into_owned(),
-        )
-    }
-
-    fn get(&self, path: &str) -> (String, String) {
-        self.http("GET", path, "")
-    }
-
-    /// Sends `request` verbatim; returns the response's status line.
-    fn raw_status(&self, request: &[u8]) -> String {
-        let mut conn = TcpStream::connect(&self.query).expect("connect query");
-        conn.write_all(request).expect("send request");
-        let mut response = Vec::new();
-        conn.read_to_end(&mut response).expect("read response");
-        String::from_utf8_lossy(&response)
-            .lines()
-            .next()
-            .unwrap_or("")
-            .to_string()
-    }
-
-    /// Polls `/status` until `pred` holds on the body, returning it.
-    fn wait_status(&self, what: &str, pred: impl Fn(&str) -> bool) -> String {
-        let start = Instant::now();
-        loop {
-            let (status, body) = self.get("/status");
-            assert!(status.contains("200"), "status failed: {status}");
-            if pred(&body) {
-                return body;
-            }
-            assert!(
-                start.elapsed() < DEADLINE,
-                "timed out waiting for {what}; last status: {body}"
-            );
-            std::thread::sleep(Duration::from_millis(50));
-        }
-    }
-}
-
-/// Extracts node `id`'s JSON object from a `/status` body (node objects
-/// are flat, so the first `}` closes them).
-fn node_json(body: &str, id: u64) -> Option<String> {
-    let pat = format!("{{\"node_id\":{id},");
-    let at = body.find(&pat)?;
-    let end = body[at..].find('}')? + at;
-    Some(body[at..=end].to_string())
-}
-
-/// Numeric field out of a flat JSON object.
-fn field_u64(obj: &str, key: &str) -> u64 {
-    let pat = format!("\"{key}\":");
-    let at = obj.find(&pat).unwrap_or_else(|| panic!("{key} in {obj}"));
-    obj[at + pat.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap_or_else(|_| panic!("numeric {key} in {obj}"))
-}
-
-/// String field out of a flat JSON object.
-fn field_str(obj: &str, key: &str) -> String {
-    let pat = format!("\"{key}\":\"");
-    let at = obj.find(&pat).unwrap_or_else(|| panic!("{key} in {obj}"));
-    obj[at + pat.len()..]
-        .chars()
-        .take_while(|&c| c != '"')
-        .collect()
-}
-
-fn node_health(body: &str, id: u64) -> String {
-    let obj = node_json(body, id).unwrap_or_else(|| panic!("node {id} in {body}"));
-    field_str(&obj, "health")
-}
+mod support;
+use support::{field_u64, node_health, node_json, Server, DEADLINE};
 
 /// An idle edge with the keep-alive on stays `live` across several
 /// staleness windows, while an identically-idle edge with the
@@ -234,7 +85,7 @@ fn idle_edge_with_keepalive_stays_live() {
 fn catalog_role_registers_answers_and_retires_over_http() {
     let srv = Server::spawn(&["--catalog", "--arity", "3", "--publish-every", "64"]);
 
-    let (status, body) = srv.http("POST", "/query", "loyal one-to-one 0 1\n");
+    let (status, body) = srv.http_text("POST", "/query", "loyal one-to-one 0 1\n");
     assert!(status.contains("200"), "{status}: {body}");
     assert!(body.contains("\"name\":\"loyal\""), "{body}");
     let loyal_id = field_u64(&body, "id");
@@ -281,7 +132,7 @@ fn catalog_role_registers_answers_and_retires_over_http() {
 
     // A query registered mid-stream answers from its own registration
     // point: it sees none of the 1000 rows already consumed.
-    let (status, body) = srv.http("POST", "/query", "late distinct 0 -\n");
+    let (status, body) = srv.http_text("POST", "/query", "late distinct 0 -\n");
     assert!(status.contains("200"), "{status}: {body}");
     let late_id = field_u64(&body, "id");
     assert_ne!(late_id, loyal_id);
@@ -291,11 +142,11 @@ fn catalog_role_registers_answers_and_retires_over_http() {
     assert_eq!(field_u64(&late, "tuples"), 300, "{late}");
 
     // Malformed and duplicate registrations are client errors.
-    let (status, _) = srv.http("POST", "/query", "bad unknown-kind 0 1\n");
+    let (status, _) = srv.http_text("POST", "/query", "bad unknown-kind 0 1\n");
     assert!(status.contains("400"), "{status}");
-    let (status, body) = srv.http("POST", "/query", "loyal one-to-one 0 1\n");
+    let (status, body) = srv.http_text("POST", "/query", "loyal one-to-one 0 1\n");
     assert!(status.contains("400"), "{status}: {body}");
-    let (status, body) = srv.http("POST", "/query", "wide one-to-one 0 7\n");
+    let (status, body) = srv.http_text("POST", "/query", "wide one-to-one 0 7\n");
     assert!(
         status.contains("400"),
         "out-of-arity column: {status}: {body}"
@@ -323,20 +174,20 @@ fn catalog_role_registers_answers_and_retires_over_http() {
     assert!(body.contains("\"queries\":2"), "{body}");
 
     // Retire: the id stops answering, the name frees up for reuse.
-    let (status, _) = srv.http("DELETE", &format!("/query/{loyal_id}"), "");
+    let (status, _) = srv.http_text("DELETE", &format!("/query/{loyal_id}"), "");
     assert!(status.contains("200"), "{status}");
     let (status, _) = srv.get("/estimate?query=loyal");
     assert!(status.contains("404"), "retired query still answers");
-    let (status, _) = srv.http("DELETE", &format!("/query/{loyal_id}"), "");
+    let (status, _) = srv.http_text("DELETE", &format!("/query/{loyal_id}"), "");
     assert!(status.contains("404"), "double retire should 404");
-    let (status, body) = srv.http("POST", "/query", "loyal one-to-one 1 0\n");
+    let (status, body) = srv.http_text("POST", "/query", "loyal one-to-one 1 0\n");
     assert!(status.contains("200"), "name not freed: {status}: {body}");
 
     // No single-estimator snapshot exists in catalog mode.
     let (status, _) = srv.get("/snapshot");
     assert!(status.contains("404"), "{status}");
 
-    let (status, _) = srv.http("POST", "/shutdown", "");
+    let (status, _) = srv.http_text("POST", "/shutdown", "");
     assert!(status.contains("200"), "{status}");
 }
 
@@ -348,13 +199,13 @@ fn oversized_query_body_is_refused_and_registers_nothing() {
     let spec = "big one-to-one 0 1";
     let body = format!("{spec}{}\n", " ".repeat(70_000 - spec.len() - 1));
     assert_eq!(body.len(), 70_000);
-    let (status, reply) = srv.http("POST", "/query", &body);
+    let (status, reply) = srv.http_text("POST", "/query", &body);
     assert!(status.contains("413"), "{status}: {reply}");
 
     let (status, list) = srv.get("/queries");
     assert!(status.contains("200"), "{status}");
     assert!(!list.contains("\"name\":\"big\""), "{list}");
-    let (status, _) = srv.http("POST", "/shutdown", "");
+    let (status, _) = srv.http_text("POST", "/shutdown", "");
     assert!(status.contains("200"), "{status}");
 }
 
@@ -375,6 +226,25 @@ fn oversized_request_header_is_refused() {
         status.contains("200"),
         "a normal request still works: {status}"
     );
-    let (status, _) = srv.http("POST", "/shutdown", "");
+    let (status, _) = srv.http_text("POST", "/shutdown", "");
     assert!(status.contains("200"), "{status}");
+}
+
+/// A spec line whose lhs and rhs overlap is a client error that leaves
+/// the catalog writer serving: the next registration still succeeds and
+/// only it is listed.
+#[test]
+fn overlapping_query_columns_are_refused_and_the_service_stays_up() {
+    let srv = Server::spawn(&["--catalog", "--arity", "3"]);
+    let (status, body) = srv.http_text("POST", "/query", "x one-to-one 0 0\n");
+    assert!(status.contains("400"), "{status}: {body}");
+    assert!(body.contains("disjoint"), "{body}");
+
+    let (status, body) = srv.http_text("POST", "/query", "loyal one-to-one 0 1\n");
+    assert!(status.contains("200"), "{status}: {body}");
+    let (status, list) = srv.get("/queries");
+    assert!(status.contains("200"), "{status}");
+    assert!(list.contains("\"name\":\"loyal\""), "{list}");
+    assert!(!list.contains("\"name\":\"x\""), "{list}");
+    srv.shutdown();
 }

@@ -6,157 +6,17 @@
 //! flight-recorder JSONL plus per-variant decode-error counters and a
 //! rejected-node-id-switch audit trail.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use implicate::core::wire::WireSnapshot;
-use implicate::{
-    lint_prometheus, EstimatorConfig, Fringe, ImplicationConditions, MultiplicityPolicy,
+use implicate::lint_prometheus;
+
+mod support;
+use support::{
+    field_str, field_u64, node_health, node_json, serve_default_config, Server, DEADLINE,
 };
-
-const DEADLINE: Duration = Duration::from_secs(60);
-
-/// Kills the child process if the test panics before shutdown.
-struct Server {
-    child: Child,
-    ingest: String,
-    query: String,
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-impl Server {
-    fn spawn(extra: &[&str]) -> Server {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_implicate-serve"))
-            .args(extra)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn implicate-serve");
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut lines = std::io::BufRead::lines(std::io::BufReader::new(stdout));
-        let mut next = || {
-            lines
-                .next()
-                .expect("server announced an address")
-                .expect("readable stdout")
-        };
-        let ingest = next()
-            .strip_prefix("serve: ingest listening on ")
-            .expect("ingest announcement")
-            .to_string();
-        let query = next()
-            .strip_prefix("serve: query listening on ")
-            .expect("query announcement")
-            .to_string();
-        Server {
-            child,
-            ingest,
-            query,
-        }
-    }
-
-    fn ingest_rows(&self, rows: &str) {
-        let mut conn = TcpStream::connect(&self.ingest).expect("connect ingest");
-        conn.write_all(rows.as_bytes()).expect("send rows");
-        conn.flush().expect("flush rows");
-    }
-
-    fn http(&self, method: &str, path: &str) -> (String, Vec<u8>) {
-        let mut conn = TcpStream::connect(&self.query).expect("connect query");
-        conn.write_all(format!("{method} {path} HTTP/1.0\r\nHost: t\r\n\r\n").as_bytes())
-            .expect("send request");
-        let mut response = Vec::new();
-        conn.read_to_end(&mut response).expect("read response");
-        let split = response
-            .windows(4)
-            .position(|w| w == b"\r\n\r\n")
-            .expect("header terminator");
-        let head = String::from_utf8_lossy(&response[..split]);
-        let status = head.lines().next().unwrap_or("").to_string();
-        (status, response[split + 4..].to_vec())
-    }
-
-    fn status_body(&self) -> String {
-        let (status, body) = self.http("GET", "/status");
-        assert!(status.contains("200"), "status failed: {status}");
-        String::from_utf8(body).expect("status is utf8 json")
-    }
-
-    /// Polls `/status` until `pred` holds on the body, returning it.
-    fn wait_status(&self, what: &str, pred: impl Fn(&str) -> bool) -> String {
-        let start = Instant::now();
-        loop {
-            let body = self.status_body();
-            if pred(&body) {
-                return body;
-            }
-            assert!(
-                start.elapsed() < DEADLINE,
-                "timed out waiting for {what}; last status: {body}"
-            );
-            std::thread::sleep(Duration::from_millis(50));
-        }
-    }
-}
-
-/// Extracts node `id`'s JSON object from a `/status` body (node objects
-/// are flat, so the first `}` closes them).
-fn node_json(body: &str, id: u64) -> Option<String> {
-    let pat = format!("{{\"node_id\":{id},");
-    let at = body.find(&pat)?;
-    let end = body[at..].find('}')? + at;
-    Some(body[at..=end].to_string())
-}
-
-/// Numeric field out of a flat JSON object.
-fn field_u64(obj: &str, key: &str) -> u64 {
-    let pat = format!("\"{key}\":");
-    let at = obj.find(&pat).unwrap_or_else(|| panic!("{key} in {obj}"));
-    obj[at + pat.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap_or_else(|_| panic!("numeric {key} in {obj}"))
-}
-
-/// String field out of a flat JSON object.
-fn field_str(obj: &str, key: &str) -> String {
-    let pat = format!("\"{key}\":\"");
-    let at = obj.find(&pat).unwrap_or_else(|| panic!("{key} in {obj}"));
-    obj[at + pat.len()..]
-        .chars()
-        .take_while(|&c| c != '"')
-        .collect()
-}
-
-fn node_health(body: &str, id: u64) -> String {
-    let obj = node_json(body, id).unwrap_or_else(|| panic!("node {id} in {body}"));
-    field_str(&obj, "health")
-}
-
-/// The service's default conditions/config, mirrored so test-built wire
-/// frames pass the aggregator's `require_matching` check.
-fn serve_default_config() -> EstimatorConfig {
-    let cond = ImplicationConditions::builder()
-        .max_multiplicity(1)
-        .min_support(1)
-        .top_confidence(1, 1.0)
-        .multiplicity_policy(MultiplicityPolicy::Strict)
-        .build();
-    EstimatorConfig::new(cond)
-        .bitmaps(64)
-        .fringe(Fringe::Bounded(4))
-        .seed(42)
-}
 
 /// `n` distinct rows tagged per edge so ground-truth tuple counts are
 /// exact.

@@ -1,195 +1,20 @@
 //! End-to-end exercise of `implicate-serve`: TCP line-protocol
 //! ingestion, wait-free concurrent queries that stay bit-identical to a
-//! library run over the same rows, the Prometheus endpoint, and the
-//! graceful shutdown → checkpoint → restart round trip.
+//! library run over the same rows, the Prometheus endpoint, the
+//! graceful shutdown → checkpoint → restart round trip, checkpoints at
+//! idle publishes, and the error exits of out-of-range estimator flags.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
+use std::process::Command;
 use std::time::{Duration, Instant};
 
-use implicate::sketch::hash::MixHasher;
-use implicate::{EstimatorConfig, Fringe, ImplicationConditions, MultiplicityPolicy};
+use implicate::ImplicationEstimator;
 
-/// Must match the service's field-hasher seed (shared with the CLI).
-const FIELD_HASHER_SEED: u64 = 0x00f1_e1d5;
-
-const DEADLINE: Duration = Duration::from_secs(60);
-
-/// Kills the child process if the test panics before shutdown.
-struct Server {
-    child: Child,
-    ingest: String,
-    query: String,
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-impl Server {
-    /// Spawns the binary with `extra` options and reads the announced
-    /// listener addresses off stdout.
-    fn spawn(extra: &[&str]) -> Server {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_implicate-serve"))
-            .args(extra)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn implicate-serve");
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut lines = std::io::BufRead::lines(std::io::BufReader::new(stdout));
-        let mut next = || {
-            lines
-                .next()
-                .expect("server announced an address")
-                .expect("readable stdout")
-        };
-        let ingest = next()
-            .strip_prefix("serve: ingest listening on ")
-            .expect("ingest announcement")
-            .to_string();
-        let query = next()
-            .strip_prefix("serve: query listening on ")
-            .expect("query announcement")
-            .to_string();
-        Server {
-            child,
-            ingest,
-            query,
-        }
-    }
-
-    /// Sends rows over the ingest socket and closes the connection.
-    fn ingest_rows(&self, rows: &str) {
-        let mut conn = TcpStream::connect(&self.ingest).expect("connect ingest");
-        conn.write_all(rows.as_bytes()).expect("send rows");
-        conn.flush().expect("flush rows");
-        // Dropping the stream closes it; the server flushes on EOF.
-    }
-
-    /// One HTTP request; returns (status line, body).
-    fn http(&self, method: &str, path: &str) -> (String, Vec<u8>) {
-        let mut conn = TcpStream::connect(&self.query).expect("connect query");
-        conn.write_all(format!("{method} {path} HTTP/1.0\r\nHost: t\r\n\r\n").as_bytes())
-            .expect("send request");
-        let mut response = Vec::new();
-        conn.read_to_end(&mut response).expect("read response");
-        let split = response
-            .windows(4)
-            .position(|w| w == b"\r\n\r\n")
-            .expect("header terminator");
-        let head = String::from_utf8_lossy(&response[..split]);
-        let status = head.lines().next().unwrap_or("").to_string();
-        (status, response[split + 4..].to_vec())
-    }
-
-    /// Polls `/estimate` until the published tuple count reaches `want`.
-    fn wait_for_tuples(&self, want: u64) -> String {
-        let start = Instant::now();
-        loop {
-            let (status, body) = self.http("GET", "/estimate");
-            assert!(status.contains("200"), "estimate failed: {status}");
-            let body = String::from_utf8(body).expect("json body");
-            if json_u64(&body, "tuples") == want {
-                return body;
-            }
-            assert!(
-                start.elapsed() < DEADLINE,
-                "timed out waiting for {want} tuples; last: {body}"
-            );
-            std::thread::sleep(Duration::from_millis(50));
-        }
-    }
-
-    /// Graceful stop; asserts the process exits cleanly.
-    fn shutdown(mut self) {
-        let (status, _) = self.http("POST", "/shutdown");
-        assert!(status.contains("200"), "shutdown failed: {status}");
-        let start = Instant::now();
-        loop {
-            if let Some(code) = self.child.try_wait().expect("try_wait") {
-                assert!(code.success(), "server exited with {code}");
-                return;
-            }
-            assert!(start.elapsed() < DEADLINE, "server never exited");
-            std::thread::sleep(Duration::from_millis(20));
-        }
-    }
-}
-
-/// Pulls an unsigned integer field out of the flat one-object JSON the
-/// service emits (no nesting, no string values with digits).
-fn json_u64(body: &str, key: &str) -> u64 {
-    let pat = format!("\"{key}\":");
-    let at = body.find(&pat).unwrap_or_else(|| panic!("{key} in {body}"));
-    body[at + pat.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap_or_else(|_| panic!("numeric {key} in {body}"))
-}
-
-/// The service's default conditions/config, mirrored for a library run.
-fn serve_default_config() -> EstimatorConfig {
-    let cond = ImplicationConditions::builder()
-        .max_multiplicity(1)
-        .min_support(1)
-        .top_confidence(1, 1.0)
-        .multiplicity_policy(MultiplicityPolicy::Strict)
-        .build();
-    EstimatorConfig::new(cond)
-        .bitmaps(64)
-        .fringe(Fringe::Bounded(4))
-        .seed(42)
-}
-
-/// Rows with enough repetition to exercise both implication outcomes.
-fn workload(n: u64) -> String {
-    let mut rows = String::new();
-    for i in 0..n {
-        let a = if i % 3 == 0 { i % 40 } else { i };
-        rows.push_str(&format!("u{a} v{}\n", i % 7));
-    }
-    rows
-}
-
-/// Feeds the same rows through the same text → fingerprint → pair-hash
-/// path the service uses and returns the resulting estimator.
-fn library_run(rows: &str) -> implicate::ImplicationEstimator {
-    let mut est = serve_default_config().build();
-    let field_hasher = MixHasher::new(FIELD_HASHER_SEED);
-    let pair_hasher = est.pair_hasher();
-    let pairs: Vec<(u64, u64)> = rows
-        .lines()
-        .map(|line| {
-            let fields: Vec<&str> = line.split_whitespace().collect();
-            let a = [implicate::text::hash_field(&field_hasher, fields[0])];
-            let b = [implicate::text::hash_field(&field_hasher, fields[1])];
-            pair_hasher.hash_pair(&a, &b)
-        })
-        .collect();
-    est.update_hashed_batch(&pairs);
-    est
-}
-
-/// Asserts the served estimate carries exactly the library run's bits.
-fn assert_bits_match(body: &str, est: &mut implicate::ImplicationEstimator) {
-    let want = est.estimate_now();
-    assert_eq!(json_u64(body, "f0_sup_bits"), want.f0_sup.to_bits());
-    assert_eq!(
-        json_u64(body, "non_implication_count_bits"),
-        want.non_implication_count.to_bits()
-    );
-    assert_eq!(
-        json_u64(body, "implication_count_bits"),
-        want.implication_count.to_bits()
-    );
-}
+mod support;
+use support::{
+    assert_bits_match, field_u64, hashed_pairs, library_run, workload, Server, DEADLINE,
+};
 
 #[test]
 fn served_estimates_match_a_library_run_and_survive_restart() {
@@ -213,7 +38,7 @@ fn served_estimates_match_a_library_run_and_survive_restart() {
     let body = server.wait_for_tuples(3_000);
     // The service hashed, routed, and published the exact same f64s the
     // library computes over the same rows — bits, not approximations.
-    assert_bits_match(&body, &mut est);
+    assert_bits_match(&body, &est);
 
     // Malformed and comment lines are skipped, not fatal.
     server.ingest_rows("# comment\n\nonly_one_column\n");
@@ -248,24 +73,13 @@ fn served_estimates_match_a_library_run_and_survive_restart() {
     // where the previous process stopped, then keeps ingesting.
     let server = Server::spawn(&["--publish-every", "256", "--checkpoint", checkpoint]);
     let body = server.wait_for_tuples(3_000);
-    assert_bits_match(&body, &mut est);
+    assert_bits_match(&body, &est);
 
     let extra = workload(500);
     server.ingest_rows(&extra);
-    let field_hasher = MixHasher::new(FIELD_HASHER_SEED);
-    let pair_hasher = est.pair_hasher();
-    let pairs: Vec<(u64, u64)> = extra
-        .lines()
-        .map(|line| {
-            let fields: Vec<&str> = line.split_whitespace().collect();
-            let a = [implicate::text::hash_field(&field_hasher, fields[0])];
-            let b = [implicate::text::hash_field(&field_hasher, fields[1])];
-            pair_hasher.hash_pair(&a, &b)
-        })
-        .collect();
-    est.update_hashed_batch(&pairs);
+    est.update_hashed_batch(&hashed_pairs(&est.pair_hasher(), &extra));
     let body = server.wait_for_tuples(3_500);
-    assert_bits_match(&body, &mut est);
+    assert_bits_match(&body, &est);
     server.shutdown();
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -303,12 +117,12 @@ fn concurrent_queries_ride_a_sharded_ingest_without_blocking() {
                     };
                     let body = String::from_utf8(response).expect("utf8");
                     let body = body.split("\r\n\r\n").nth(1).expect("body");
-                    let (epoch, tuples) = (json_u64(body, "epoch"), json_u64(body, "tuples"));
+                    let (epoch, tuples) = (field_u64(body, "epoch"), field_u64(body, "tuples"));
                     assert!(epoch >= last_epoch, "epoch went backwards");
                     assert!(tuples >= last_tuples, "tuples went backwards");
                     // A view is a consistent pair: the estimate fields
                     // must always be present and parseable.
-                    let _ = json_u64(body, "f0_sup_bits");
+                    let _ = field_u64(body, "f0_sup_bits");
                     (last_epoch, last_tuples) = (epoch, tuples);
                     observations += 1;
                 }
@@ -328,9 +142,83 @@ fn concurrent_queries_ride_a_sharded_ingest_without_blocking() {
     }
 
     let body = server.wait_for_tuples(24_000);
-    assert!(json_u64(&body, "epoch") > 0);
+    assert!(field_u64(&body, "epoch") > 0);
     stop.store(true, std::sync::atomic::Ordering::Release);
     let total: u64 = readers.into_iter().map(|h| h.join().unwrap()).sum();
     assert!(total > 0, "queries were served during ingest");
     server.shutdown();
+}
+
+/// `--checkpoint-every` holds at idle publishes too: rows that never fill
+/// a `--publish-every` interval still reach the checkpoint file while the
+/// server runs, so a hard kill cannot lose them.
+#[test]
+fn checkpoint_every_holds_at_idle_publishes() {
+    let dir = std::env::temp_dir().join(format!("imp-serve-idle-ckpt-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let checkpoint = dir.join("state.imps");
+    let server = Server::spawn(&[
+        "--publish-every",
+        "4096",
+        "--checkpoint",
+        checkpoint.to_str().expect("utf8 path"),
+        "--checkpoint-every",
+        "100",
+    ]);
+    let rows = workload(3_000);
+    server.ingest_rows(&rows);
+    server.wait_for_tuples(3_000);
+
+    let start = Instant::now();
+    let restored = loop {
+        // The file is replaced by rename, so any read sees a whole one.
+        if let Ok(raw) = std::fs::read(&checkpoint) {
+            let est = ImplicationEstimator::from_bytes(bytes::Bytes::from(raw))
+                .expect("checkpoint decodes");
+            if est.tuples_seen() == 3_000 {
+                break est;
+            }
+        }
+        assert!(
+            start.elapsed() < DEADLINE,
+            "no 3000-tuple checkpoint while idle"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    assert_eq!(
+        restored.estimate_now().implication_count.to_bits(),
+        library_run(&rows)
+            .estimate_now()
+            .implication_count
+            .to_bits()
+    );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Each estimator flag value outside its domain exits 2 with a one-line
+/// message naming the flag, before anything is bound.
+#[test]
+fn out_of_range_estimator_flags_exit_2_naming_the_flag() {
+    for (flag, value) in [
+        ("--bitmaps", "3"),
+        ("--bitmaps", "0"),
+        ("--confidence", "150"),
+        ("--confidence", "-5"),
+        ("--memory-budget", "10"),
+        ("--fringe", "65"),
+        ("--max-mult", "0"),
+        ("--top-c", "0"),
+        ("--support", "0"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_implicate-serve"))
+            .args([flag, value])
+            .output()
+            .expect("run implicate-serve");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{flag} {value}: {stderr}");
+        assert!(stderr.contains(flag), "{flag} {value}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flag} {value}: {stderr}");
+    }
 }

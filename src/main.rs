@@ -52,16 +52,14 @@
 
 use std::io::{BufRead, Write};
 use std::process::exit;
-use std::sync::OnceLock;
 
 use implicate::sketch::estimate::relative_error;
-use implicate::spec::{parse_columns, QuerySpec};
+use implicate::spec::{self, parse_columns, EstimatorFlag, EstimatorFlags, QuerySpec};
 use implicate::text::{Row, RowReader};
 use implicate::{
-    AccuracyAuditor, Estimate, EstimateReader, EstimatorConfig, ExactCounter, Fringe, HashedBatch,
-    ImplicationConditions, ImplicationCounter, ImplicationEstimator, MetricsHandle,
-    MultiplicityPolicy, PairHasher, QueryCatalog, QueryId, QueryKind, Schema, ShardedCatalog,
-    ShardedEstimator, TraceHandle, Tuple, TupleHasher,
+    AccuracyAuditor, Estimate, EstimateReader, EstimatorConfig, ExactCounter, HashedBatch,
+    ImplicationCounter, ImplicationEstimator, MetricsHandle, PairHasher, QueryCatalog, QueryId,
+    QueryKind, Schema, ShardedCatalog, ShardedEstimator, TraceHandle, Tuple, TupleHasher,
 };
 
 /// Rows per batch handed from the read loop to the sink.
@@ -88,17 +86,8 @@ fn stats_emission(metrics: &MetricsHandle, format: StatsFormat) -> String {
 struct CliDraft {
     lhs: Option<Vec<usize>>,
     rhs: Option<Vec<usize>>,
-    max_mult: u32,
-    support: u64,
-    top_c: Option<u32>,
-    confidence: f64,
-    policy: MultiplicityPolicy,
+    est: EstimatorFlags,
     complement: bool,
-    delimiter: Option<char>,
-    bitmaps: usize,
-    fringe: u32,
-    memory_budget: Option<usize>,
-    seed: u64,
     threads: usize,
     watch: Option<u64>,
     stats: bool,
@@ -119,17 +108,8 @@ impl Default for CliDraft {
         Self {
             lhs: None,
             rhs: None,
-            max_mult: 1,
-            support: 1,
-            top_c: None,
-            confidence: 100.0,
-            policy: MultiplicityPolicy::Strict,
+            est: EstimatorFlags::default(),
             complement: false,
-            delimiter: None,
-            bitmaps: 64,
-            fringe: 4,
-            memory_budget: None,
-            seed: 42,
             threads: 1,
             watch: None,
             stats: false,
@@ -150,7 +130,7 @@ impl Default for CliDraft {
 /// One CLI option: flag name, value placeholder (empty for boolean
 /// flags), help text (extra lines indent under the first), and the
 /// action applying one occurrence to the draft. The table drives both
-/// parsing and the generated usage text.
+/// parsing and the generated usage text, beside [`spec::ESTIMATOR_FLAGS`].
 struct Opt {
     name: &'static str,
     metavar: &'static str,
@@ -172,82 +152,10 @@ const OPTIONS: &[Opt] = &[
         set: |d, v| d.rhs = Some(parse_columns(v).unwrap_or_else(|e| die(&e))),
     },
     Opt {
-        name: "--max-mult",
-        metavar: "K",
-        doc: "maximum multiplicity (default 1)",
-        set: |d, v| d.max_mult = parse_num(v, "--max-mult"),
-    },
-    Opt {
-        name: "--support",
-        metavar: "N",
-        doc: "minimum absolute support σ (default 1)",
-        set: |d, v| d.support = parse_num(v, "--support"),
-    },
-    Opt {
-        name: "--top-c",
-        metavar: "C",
-        doc: "the c of the top-confidence level (default = K)",
-        set: |d, v| d.top_c = Some(parse_num(v, "--top-c")),
-    },
-    Opt {
-        name: "--confidence",
-        metavar: "P",
-        doc: "minimum top-c confidence in percent (default 100)",
-        set: |d, v| d.confidence = parse_num(v, "--confidence"),
-    },
-    Opt {
-        name: "--policy",
-        metavar: "P",
-        doc: "strict | tracktop (default strict)",
-        set: |d, v| {
-            d.policy = match v {
-                "strict" => MultiplicityPolicy::Strict,
-                "tracktop" => MultiplicityPolicy::TrackTop,
-                other => die(&format!("unknown policy {other:?}")),
-            }
-        },
-    },
-    Opt {
         name: "--complement",
         metavar: "",
         doc: "report the non-implication count S̄ instead of S",
         set: |d, _| d.complement = true,
-    },
-    Opt {
-        name: "--delimiter",
-        metavar: "C",
-        doc: "field delimiter (default: any whitespace; e.g. ',')",
-        set: |d, v| {
-            let mut chars = v.chars();
-            d.delimiter = chars.next();
-            if d.delimiter.is_none() || chars.next().is_some() {
-                die("--delimiter must be a single character");
-            }
-        },
-    },
-    Opt {
-        name: "--bitmaps",
-        metavar: "M",
-        doc: "stochastic-averaging bitmaps, power of two (default 64)",
-        set: |d, v| d.bitmaps = parse_num(v, "--bitmaps"),
-    },
-    Opt {
-        name: "--fringe",
-        metavar: "F",
-        doc: "fringe size (default 4); 0 = unbounded",
-        set: |d, v| d.fringe = parse_num(v, "--fringe"),
-    },
-    Opt {
-        name: "--memory-budget",
-        metavar: "BYTES",
-        doc: "hard cap on tracked-state memory (default: unlimited);\nat the cap, admissions shed the weakest tracked\nitemsets instead of growing (watch estimator.mem_bytes\nand estimator.shed_events under --stats)",
-        set: |d, v| d.memory_budget = Some(parse_num(v, "--memory-budget")),
-    },
-    Opt {
-        name: "--seed",
-        metavar: "N",
-        doc: "hash seed (default 42)",
-        set: |d, v| d.seed = parse_num(v, "--seed"),
     },
     Opt {
         name: "--threads",
@@ -329,41 +237,21 @@ const OPTIONS: &[Opt] = &[
     },
 ];
 
-/// The usage text, generated from [`OPTIONS`].
-fn usage() -> &'static str {
-    static USAGE: OnceLock<String> = OnceLock::new();
-    USAGE.get_or_init(|| {
-        let left = |o: &Opt| {
-            if o.metavar.is_empty() {
-                o.name.to_string()
-            } else {
-                format!("{} {}", o.name, o.metavar)
-            }
-        };
-        let width = OPTIONS
-            .iter()
-            .map(|o| left(o).len())
-            .max()
-            .unwrap_or(0)
-            .max("FILE".len());
-        let mut out = String::from(
-            "implicate — streaming implication-count statistics (NIPS/CI, ICDE 2005)\n\n\
-             usage: implicate --lhs COLS --rhs COLS [options] [FILE]\n\n",
-        );
-        for o in OPTIONS {
-            let mut lines = o.doc.lines();
-            let first = lines.next().unwrap_or("");
-            out.push_str(&format!("  {:<width$}  {first}\n", left(o)));
-            for line in lines {
-                out.push_str(&format!("  {:<width$}  {line}\n", ""));
-            }
-        }
-        out.push_str(&format!(
-            "  {:<width$}  input path (default: stdin)",
-            "FILE"
-        ));
-        out
-    })
+/// The usage text, generated from [`OPTIONS`] and
+/// [`spec::ESTIMATOR_FLAGS`].
+fn usage() -> String {
+    let entries = OPTIONS.iter().map(|o| (o.name, o.metavar, o.doc)).chain([(
+        "FILE",
+        "",
+        "input path (default: stdin)",
+    )]);
+    format!(
+        "implicate — streaming implication-count statistics (NIPS/CI, ICDE 2005)\n\n\
+         usage: implicate --lhs COLS --rhs COLS [options] [FILE]\n\n{}\n\
+         estimator options (shared with implicate-serve):\n{}",
+        spec::usage_lines(entries),
+        spec::estimator_usage().trim_end(),
+    )
 }
 
 /// Parsed and validated command line. In catalog mode (`--query-file`),
@@ -408,6 +296,15 @@ fn parse_cli() -> Cli {
                 exit(0);
             }
             name if name.starts_with("--") => {
+                let mut value = || {
+                    args.next()
+                        .unwrap_or_else(|| die(&format!("{name} needs a value")))
+                };
+                if let Some(flag) = EstimatorFlag::find(name) {
+                    flag.set(&mut draft.est, &value())
+                        .unwrap_or_else(|e| die(&e));
+                    continue;
+                }
                 let opt = OPTIONS
                     .iter()
                     .find(|o| o.name == name)
@@ -415,8 +312,7 @@ fn parse_cli() -> Cli {
                 let value = if opt.metavar.is_empty() {
                     String::new()
                 } else {
-                    args.next()
-                        .unwrap_or_else(|| die(&format!("{name} needs a value")))
+                    value()
                 };
                 (opt.set)(&mut draft, &value);
             }
@@ -449,12 +345,6 @@ impl CliDraft {
             let rhs = self.rhs.unwrap_or_else(|| die("--rhs is required"));
             (lhs, rhs, Vec::new())
         };
-        if !(0.0..=100.0).contains(&self.confidence) {
-            die("--confidence must be in [0, 100]");
-        }
-        if !self.bitmaps.is_power_of_two() {
-            die("--bitmaps must be a power of two");
-        }
         if self.threads == 0 {
             die("--threads must be at least 1");
         }
@@ -476,42 +366,13 @@ impl CliDraft {
             // need a pipeline barrier per audit to make that meaningful.
             die("--audit requires --threads 1");
         }
-        let cond = ImplicationConditions::builder()
-            .max_multiplicity(self.max_mult)
-            .min_support(self.support)
-            .top_confidence(self.top_c.unwrap_or(self.max_mult), self.confidence / 100.0)
-            .multiplicity_policy(self.policy)
-            .build();
-        let fringe = match self.fringe {
-            0 => Fringe::Unbounded,
-            f => Fringe::Bounded(f),
-        };
-        if self.memory_budget == Some(0) {
-            die("--memory-budget must be at least 1 byte");
-        }
-        let mut config = EstimatorConfig::new(cond)
-            .bitmaps(self.bitmaps)
-            .fringe(fringe)
-            .seed(self.seed);
-        if let Some(bytes) = self.memory_budget {
-            let floor = config.construction_floor();
-            if bytes < floor {
-                die(&format!(
-                    "--memory-budget {bytes} is below the smallest enforceable budget \
-                     for this configuration: {floor} bytes ({m} initial arena tables; \
-                     lower --bitmaps or raise the budget)",
-                    m = self.bitmaps * 2,
-                ));
-            }
-            config = config.memory_budget(bytes);
-        }
         Cli {
             lhs,
             rhs,
             queries,
-            config,
+            config: self.est.build().unwrap_or_else(|e| die(&e)),
             complement: self.complement,
-            delimiter: self.delimiter,
+            delimiter: self.est.delimiter,
             threads: self.threads,
             watch: self.watch,
             stats: self.stats,

@@ -1,21 +1,30 @@
-//! Parsing of declarative query-catalog specs.
+//! Parsing shared by both binaries: column lists, the estimator flags
+//! and declarative query-catalog specs.
 //!
-//! One grammar serves both front ends: the `implicate --query-file` line
-//! format and the body of `implicate-serve`'s `POST /query` control
-//! endpoint. A spec line is
+//! [`ESTIMATOR_FLAGS`] is the one definition of the flags `implicate`
+//! and `implicate-serve` share. [`EstimatorFlags::build`] checks every
+//! range before any asserting builder runs, with the checks query-spec
+//! options get too: K, c and σ at least 1, ψ in [0, 100] percent (§3).
+//!
+//! A query-spec line — an `implicate --query-file` line or the body of
+//! `implicate-serve`'s `POST /query` — is
 //!
 //! ```text
 //! name kind lhs rhs [options…]
 //! ```
 //!
 //! where `kind` is `distinct` | `one-to-one` | `at-most` | `more-than` |
-//! `noisy`; `lhs`/`rhs` are comma-separated 0-based column lists (`-`
-//! for none); and options are `k=K`, `c=C`, `psi=PERCENT`, `support=N`,
-//! the bare flag `complement`, and repeatable `where=COL=VALUE`
-//! conditions (`VALUE` is matched as a raw text field, hashed with the
-//! same field hasher the data rows go through).
+//! `noisy`; `lhs`/`rhs` are disjoint comma-separated 0-based column lists
+//! (`-` for none); and options are `k=K`, `c=C`, `psi=PERCENT`,
+//! `support=N`, the bare flag `complement`, and repeatable
+//! `where=COL=VALUE` conditions (`VALUE` is matched as a raw text field,
+//! hashed with the same field hasher the data rows go through).
 
+use std::str::FromStr;
+
+use imp_core::nips::CELLS;
 use imp_core::query::{Filter, ImplicationQuery};
+use imp_core::{EstimatorConfig, Fringe, ImplicationConditions, MultiplicityPolicy};
 use imp_sketch::hash::MixHasher;
 use imp_stream::{AttrId, AttrSet};
 
@@ -60,6 +69,214 @@ pub fn parse_columns(raw: &str) -> Result<Vec<usize>, String> {
         .collect()
 }
 
+/// `value` when it is at least 1, the domain of K, c and σ (§3).
+fn at_least_one<T: PartialOrd + From<u8>>(what: &str, value: T) -> Result<T, String> {
+    (value >= T::from(1))
+        .then_some(value)
+        .ok_or_else(|| format!("{what} must be at least 1"))
+}
+
+/// `psi` when it is a percentage in [0, 100], the domain of ψ (§3).
+fn percent(what: &str, psi: f64) -> Result<f64, String> {
+    (0.0..=100.0)
+        .contains(&psi)
+        .then_some(psi)
+        .ok_or_else(|| format!("{what} must be in [0, 100]"))
+}
+
+fn num<T: FromStr>(raw: &str) -> Result<T, String> {
+    raw.parse().map_err(|_| format!("bad value {raw:?}"))
+}
+
+/// The values of [`ESTIMATOR_FLAGS`] given on a command line, unchecked
+/// until [`Self::build`], which also supplies the defaults.
+#[derive(Debug, Clone, Default)]
+pub struct EstimatorFlags {
+    /// `--delimiter`: the field delimiter; `None` splits on any
+    /// whitespace.
+    pub delimiter: Option<char>,
+    max_mult: Option<u32>,
+    support: Option<u64>,
+    top_c: Option<u32>,
+    confidence: Option<f64>,
+    policy: MultiplicityPolicy,
+    bitmaps: Option<usize>,
+    fringe: Option<u32>,
+    memory_budget: Option<usize>,
+    seed: Option<u64>,
+}
+
+impl EstimatorFlags {
+    /// The estimator configuration, or an error naming the first flag
+    /// out of its range.
+    pub fn build(&self) -> Result<EstimatorConfig, String> {
+        let k = at_least_one("--max-mult", self.max_mult.unwrap_or(1))?;
+        let support = at_least_one("--support", self.support.unwrap_or(1))?;
+        let top_c = at_least_one("--top-c", self.top_c.unwrap_or(k))?;
+        let psi = percent("--confidence", self.confidence.unwrap_or(100.0))? / 100.0;
+        let bitmaps = self.bitmaps.unwrap_or(64);
+        if !bitmaps.is_power_of_two() {
+            return Err("--bitmaps must be a power of two".into());
+        }
+        let fringe = match self.fringe.unwrap_or(4) {
+            0 => Fringe::Unbounded,
+            f if f <= CELLS => Fringe::Bounded(f),
+            _ => return Err(format!("--fringe must be at most {CELLS} (0 = unbounded)")),
+        };
+        let cond = ImplicationConditions::builder()
+            .max_multiplicity(k)
+            .min_support(support)
+            .top_confidence(top_c, psi)
+            .multiplicity_policy(self.policy)
+            .build();
+        let config = EstimatorConfig::new(cond)
+            .bitmaps(bitmaps)
+            .fringe(fringe)
+            .seed(self.seed.unwrap_or(42));
+        let Some(bytes) = self.memory_budget else {
+            return Ok(config);
+        };
+        let floor = config.construction_floor();
+        if bytes < floor {
+            return Err(format!(
+                "--memory-budget {bytes} is below the smallest enforceable budget \
+                 for this configuration: {floor} bytes ({m} initial arena tables; \
+                 lower --bitmaps or raise the budget)",
+                m = bitmaps * 2,
+            ));
+        }
+        Ok(config.memory_budget(bytes))
+    }
+}
+
+/// One flag of [`ESTIMATOR_FLAGS`]: its name, value placeholder, help
+/// text (further lines indent under the first) and setter.
+pub struct EstimatorFlag {
+    name: &'static str,
+    metavar: &'static str,
+    doc: &'static str,
+    apply: fn(&mut EstimatorFlags, &str) -> Result<(), String>,
+}
+
+impl EstimatorFlag {
+    /// The shared flag called `name`, if there is one.
+    pub fn find(name: &str) -> Option<&'static EstimatorFlag> {
+        ESTIMATOR_FLAGS.iter().find(|f| f.name == name)
+    }
+
+    /// Applies one occurrence of the flag with `value`; an error names
+    /// the flag.
+    pub fn set(&self, flags: &mut EstimatorFlags, value: &str) -> Result<(), String> {
+        (self.apply)(flags, value).map_err(|e| format!("{}: {e}", self.name))
+    }
+}
+
+/// The flags both binaries share, in usage order.
+pub const ESTIMATOR_FLAGS: &[EstimatorFlag] = &[
+    EstimatorFlag {
+        name: "--delimiter",
+        metavar: "C",
+        doc: "field delimiter (default: any whitespace; e.g. ',')",
+        apply: |f, v| {
+            let mut chars = v.chars();
+            f.delimiter = chars.next();
+            if f.delimiter.is_none() || chars.next().is_some() {
+                return Err("must be a single character".into());
+            }
+            Ok(())
+        },
+    },
+    EstimatorFlag {
+        name: "--max-mult",
+        metavar: "K",
+        doc: "maximum multiplicity (default 1)",
+        apply: |f, v| num(v).map(|n| f.max_mult = Some(n)),
+    },
+    EstimatorFlag {
+        name: "--support",
+        metavar: "N",
+        doc: "minimum absolute support σ (default 1)",
+        apply: |f, v| num(v).map(|n| f.support = Some(n)),
+    },
+    EstimatorFlag {
+        name: "--top-c",
+        metavar: "C",
+        doc: "the c of the top-confidence level (default = K)",
+        apply: |f, v| num(v).map(|n| f.top_c = Some(n)),
+    },
+    EstimatorFlag {
+        name: "--confidence",
+        metavar: "P",
+        doc: "minimum top-c confidence in percent (default 100)",
+        apply: |f, v| num(v).map(|n| f.confidence = Some(n)),
+    },
+    EstimatorFlag {
+        name: "--policy",
+        metavar: "P",
+        doc: "strict | tracktop (default strict)",
+        apply: |f, v| {
+            f.policy = match v {
+                "strict" => MultiplicityPolicy::Strict,
+                "tracktop" => MultiplicityPolicy::TrackTop,
+                other => return Err(format!("unknown policy {other:?}")),
+            };
+            Ok(())
+        },
+    },
+    EstimatorFlag {
+        name: "--bitmaps",
+        metavar: "M",
+        doc: "stochastic-averaging bitmaps, power of two (default 64)",
+        apply: |f, v| num(v).map(|n| f.bitmaps = Some(n)),
+    },
+    EstimatorFlag {
+        name: "--fringe",
+        metavar: "F",
+        doc: "fringe size, at most 64 (default 4); 0 = unbounded",
+        apply: |f, v| num(v).map(|n| f.fringe = Some(n)),
+    },
+    EstimatorFlag {
+        name: "--memory-budget",
+        metavar: "BYTES",
+        doc: "hard cap on tracked-state memory (default: unlimited);\nat the cap, admissions shed the weakest tracked\nitemsets instead of growing (watch the metrics\nestimator.mem_bytes and estimator.shed_events)",
+        apply: |f, v| num(v).map(|n| f.memory_budget = Some(n)),
+    },
+    EstimatorFlag {
+        name: "--seed",
+        metavar: "N",
+        doc: "hash seed (default 42)",
+        apply: |f, v| num(v).map(|n| f.seed = Some(n)),
+    },
+];
+
+/// Formats usage entries `(name, metavar, doc)`: one `  NAME METAVAR  doc`
+/// line each, the left column as wide as the widest, further lines of
+/// `doc` indented under the first.
+pub fn usage_lines<'a>(entries: impl IntoIterator<Item = (&'a str, &'a str, &'a str)>) -> String {
+    let entries: Vec<_> = entries
+        .into_iter()
+        .map(|(name, metavar, doc)| (format!("{name} {metavar}").trim_end().to_owned(), doc))
+        .collect();
+    let width = entries
+        .iter()
+        .map(|(left, _)| left.len())
+        .max()
+        .unwrap_or(0);
+    let mut out = String::new();
+    for (left, doc) in &entries {
+        for (i, line) in doc.lines().enumerate() {
+            let left = if i == 0 { left.as_str() } else { "" };
+            out.push_str(&format!("  {left:<width$}  {line}\n"));
+        }
+    }
+    out
+}
+
+/// The usage lines of [`ESTIMATOR_FLAGS`].
+pub fn estimator_usage() -> String {
+    usage_lines(ESTIMATOR_FLAGS.iter().map(|f| (f.name, f.metavar, f.doc)))
+}
+
 /// A spec's column list: [`parse_columns`], or `-` for none, and every
 /// column below 64.
 fn parse_cols(raw: &str, side: &str) -> Result<Vec<usize>, String> {
@@ -94,16 +311,13 @@ pub fn parse_query_line(line: &str) -> Result<QuerySpec, String> {
         if opt == "complement" {
             complement = true;
         } else if let Some(v) = opt.strip_prefix("k=") {
-            k = v.parse().map_err(|_| "bad k=")?;
+            k = at_least_one("k=", v.parse().map_err(|_| "bad k=")?)?;
         } else if let Some(v) = opt.strip_prefix("c=") {
-            c = v.parse().map_err(|_| "bad c=")?;
+            c = at_least_one("c=", v.parse().map_err(|_| "bad c=")?)?;
         } else if let Some(v) = opt.strip_prefix("psi=") {
-            psi = v.parse().map_err(|_| "bad psi=")?;
-            if !(0.0..=100.0).contains(&psi) {
-                return Err("psi= must be in [0, 100]".into());
-            }
+            psi = percent("psi=", v.parse().map_err(|_| "bad psi=")?)?;
         } else if let Some(v) = opt.strip_prefix("support=") {
-            support = v.parse().map_err(|_| "bad support=")?;
+            support = at_least_one("support=", v.parse().map_err(|_| "bad support=")?)?;
         } else if let Some(v) = opt.strip_prefix("where=") {
             let (col, value) = v.split_once('=').ok_or("where= needs COL=VALUE")?;
             let col: usize = col.parse().map_err(|_| "bad where= column")?;
@@ -121,6 +335,9 @@ pub fn parse_query_line(line: &str) -> Result<QuerySpec, String> {
 
     if rhs_cols.is_empty() && kind != "distinct" {
         return Err(format!("kind {kind:?} needs rhs columns"));
+    }
+    if !lhs.is_disjoint(rhs) {
+        return Err("lhs and rhs columns must be disjoint".into());
     }
     let mut query = match kind {
         "distinct" => {
@@ -228,6 +445,12 @@ mod tests {
             "q one-to-one 0 1 psi=140",
             "q one-to-one 0 1 where=2",
             "q one-to-one 0 1 bogus",
+            "x one-to-one 0 0",
+            "q at-most 0,1 1,2",
+            "q at-most 0 1 k=0",
+            "q more-than 0 1 k=0",
+            "q noisy 0 1 c=0",
+            "q one-to-one 0 1 support=0",
         ] {
             assert!(parse_query_line(bad).is_err(), "{bad:?} should be rejected");
         }

@@ -604,3 +604,29 @@ fn parallel_resume_continues_a_checkpoint_exactly() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn out_of_range_estimator_flags_exit_2_naming_the_flag() {
+    for (flag, value) in [
+        ("--bitmaps", "3"),
+        ("--bitmaps", "0"),
+        ("--confidence", "150"),
+        ("--confidence", "-5"),
+        ("--memory-budget", "10"),
+        ("--fringe", "65"),
+        ("--max-mult", "0"),
+        ("--top-c", "0"),
+        ("--support", "0"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_implicate"))
+            .args(["--lhs", "0", "--rhs", "1", flag, value])
+            .stdin(Stdio::null())
+            .output()
+            .expect("run implicate");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {stderr}");
+        let first = stderr.lines().next().unwrap_or("");
+        assert!(first.contains(flag), "{flag} {value}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flag} {value}: {stderr}");
+    }
+}
