@@ -23,6 +23,7 @@ use crate::budget::{CapacityPolicy, MemoryBudget};
 use crate::conditions::ImplicationConditions;
 use crate::metrics::{MetricsHandle, Stopwatch};
 use crate::nips::NipsBitmap;
+use crate::snapshot::SnapshotError;
 use crate::trace::{SpanKind, TraceHandle};
 use crate::view::{pack_ranks, EstimateReader, ReadView, ViewPublisher};
 
@@ -249,6 +250,49 @@ impl EstimatorConfig {
             budget,
         )
     }
+
+    /// Restores a snapshot ([`ImplicationEstimator::to_bytes`] output,
+    /// which has an example) under this configuration: decodes it,
+    /// refuses it with [`SnapshotError::Mismatch`] when its conditions,
+    /// bitmap count, fringe or hash seed differ from this
+    /// configuration's, and re-arms this configuration's memory budget,
+    /// which snapshots do not carry.
+    pub fn restore(&self, bytes: bytes::Bytes) -> Result<ImplicationEstimator, SnapshotError> {
+        let mut est = ImplicationEstimator::from_bytes(bytes)?;
+        let cond = |c: &ImplicationConditions| format!("{c} {:?}", c.multiplicity_policy);
+        let fringe = |f: Option<u32>| f.map_or("unbounded".to_owned(), |f| f.to_string());
+        let want = self.fringe.size();
+        let mut fringes = est.bitmaps.iter().map(NipsBitmap::fringe);
+        let mismatch = if est.cond != self.cond {
+            ("conditions", cond(&est.cond), cond(&self.cond))
+        } else if est.bitmaps.len() != self.bitmaps {
+            let got = est.bitmaps.len();
+            ("bitmaps", got.to_string(), self.bitmaps.to_string())
+        } else if let Some(got) = fringes.find(|&f| f != want) {
+            ("fringe", fringe(got), fringe(want))
+        } else if est.hashers() != seeded_hashers(self.seed) {
+            let got = est.hasher_a.unmixed_seed() ^ SEED_A;
+            ("seed", got.to_string(), self.seed.to_string())
+        } else {
+            est.set_memory_budget(self.memory_budget);
+            return Ok(est);
+        };
+        let (quantity, snapshot, configured) = mismatch;
+        Err(SnapshotError::Mismatch {
+            quantity,
+            snapshot,
+            configured,
+        })
+    }
+}
+
+/// Salts separating the two hash functions drawn from one user seed.
+const SEED_A: u64 = 0xa11c_e0de;
+const SEED_B: u64 = 0x00b0_bca7;
+
+/// The `(a, b)` hash pair of an estimator built with hash seed `seed`.
+fn seeded_hashers(seed: u64) -> (MixHasher, MixHasher) {
+    (MixHasher::new(seed ^ SEED_A), MixHasher::new(seed ^ SEED_B))
 }
 
 /// Stochastic-averaged NIPS/CI estimator — the crate's main entry point,
@@ -343,12 +387,13 @@ impl ImplicationEstimator {
         let bitmaps = (0..m)
             .map(|_| NipsBitmap::build_with(cond, policy, &budget))
             .collect();
+        let (hasher_a, hasher_b) = seeded_hashers(seed);
         let est = Self {
             cond,
             bitmaps,
             log2_m: m.trailing_zeros(),
-            hasher_a: MixHasher::new(seed ^ 0xa11c_e0de),
-            hasher_b: MixHasher::new(seed ^ 0x00b0_bca7),
+            hasher_a,
+            hasher_b,
             tuples: 0,
             budget,
             metrics: MetricsHandle::new(),
@@ -588,9 +633,9 @@ impl ImplicationEstimator {
     /// *published* view while this writer keeps ingesting — the reader
     /// half of the API split (see [`crate::view`]). Cheap to clone and
     /// `Send`: hand one clone to each query thread. Readers observe
-    /// nothing until [`publish`](ImplicationEstimator::publish) (or
-    /// [`publish_full`](ImplicationEstimator::publish_full)) is called;
-    /// the view captured when the channel is first created is epoch 0.
+    /// nothing until [`publish`](ImplicationEstimator::publish) is
+    /// called; the view captured when the channel is first created is
+    /// epoch 0.
     pub fn reader(&mut self) -> EstimateReader {
         self.ensure_publisher();
         self.publisher.as_ref().expect("publisher created").reader()
@@ -602,18 +647,18 @@ impl ImplicationEstimator {
     /// the new view wait-free. Costs one small allocation plus an atomic
     /// store — cheap enough to call every few hundred updates.
     pub fn publish(&mut self) -> u64 {
-        self.publish_view(false)
-    }
-
-    /// Like [`publish`](ImplicationEstimator::publish), but additionally
-    /// embeds the canonical snapshot encoding
-    /// ([`to_bytes`](ImplicationEstimator::to_bytes)) in the published
-    /// view ([`ReadView::snapshot`]), so readers — e.g. a serving
-    /// endpoint handing out checkpoints — can obtain restorable bytes
-    /// without touching the writer. Costs a full snapshot encode; use at
-    /// checkpoint cadence, not per batch.
-    pub fn publish_full(&mut self) -> u64 {
-        self.publish_view(true)
+        if self.publisher.is_none() {
+            // First publish: the channel's epoch-0 view *is* the current
+            // state, so creating the channel already publishes it.
+            self.ensure_publisher();
+            return 0;
+        }
+        let view = self.capture_view();
+        let rows = self.tuples;
+        self.publisher
+            .as_mut()
+            .expect("publisher created")
+            .publish(view, rows)
     }
 
     /// The latest epoch published on this writer's channel, or `None` if
@@ -622,28 +667,9 @@ impl ImplicationEstimator {
         self.publisher.as_ref().map(ViewPublisher::epoch)
     }
 
-    fn publish_view(&mut self, with_snapshot: bool) -> u64 {
-        if self.publisher.is_none() {
-            // First publish: the channel's epoch-0 view *is* the current
-            // state, so creating the channel already publishes it.
-            self.ensure_publisher_with(with_snapshot);
-            return 0;
-        }
-        let view = self.capture_view(with_snapshot);
-        let rows = self.tuples;
-        self.publisher
-            .as_mut()
-            .expect("publisher created")
-            .publish(view, rows)
-    }
-
     fn ensure_publisher(&mut self) {
-        self.ensure_publisher_with(false);
-    }
-
-    fn ensure_publisher_with(&mut self, with_snapshot: bool) {
         if self.publisher.is_none() {
-            let view = self.capture_view(with_snapshot);
+            let view = self.capture_view();
             self.publisher = Some(ViewPublisher::new(
                 view,
                 self.metrics.clone(),
@@ -653,20 +679,13 @@ impl ImplicationEstimator {
     }
 
     /// Captures the current read-off state as an unpublished view.
-    fn capture_view(&self, with_snapshot: bool) -> ReadView {
+    fn capture_view(&self) -> ReadView {
         let ranks = self
             .bitmaps
             .iter()
             .map(|bm| pack_ranks(bm.rank_f0_sup(), bm.rank_non_implication()))
             .collect();
-        ReadView::from_parts(
-            self.tuples,
-            self.entries() as u64,
-            self.budget.used() as u64,
-            self.cond,
-            ranks,
-            with_snapshot.then(|| self.to_bytes()),
-        )
+        ReadView::from_parts(self.tuples, self.cond, ranks)
     }
 
     /// Total `(a, b)` tracking entries held across all bitmaps — the
@@ -927,17 +946,21 @@ impl ImplicationEstimator {
     /// A full save/restore round-trip:
     ///
     /// ```
-    /// use imp_core::{EstimatorConfig, ImplicationConditions, ImplicationEstimator};
+    /// use imp_core::{EstimatorConfig, ImplicationConditions};
     ///
     /// let cond = ImplicationConditions::one_to_c(1, 0.8, 2);
-    /// let mut est = EstimatorConfig::new(cond).seed(7).build();
+    /// let config = EstimatorConfig::new(cond).seed(7);
+    /// let mut est = config.build();
     /// for a in 0..1000u64 {
     ///     est.update(&[a], &[a % 50]);
     /// }
     ///
     /// let snapshot = est.to_bytes(); // → write to disk / ship elsewhere
-    /// let mut restored = ImplicationEstimator::from_bytes(snapshot)?;
+    /// let mut restored = config.restore(snapshot.clone())?;
     /// assert_eq!(restored.estimate_now(), est.estimate_now());
+    /// // Only under the configuration it was built with:
+    /// let refused = config.seed(8).restore(snapshot).unwrap_err();
+    /// assert_eq!(refused.to_string(), "snapshot was built with seed 7, not 8");
     ///
     /// // The restored estimator keeps ingesting where the original
     /// // left off — identical future behaviour, not just identical
@@ -1075,6 +1098,45 @@ mod tests {
             .fringe(Fringe::Unbounded)
             .seed(seed)
             .build()
+    }
+
+    #[test]
+    fn restore_refuses_each_differing_setting_and_rearms_the_budget() {
+        let config = EstimatorConfig::new(one_to_one()).bitmaps(16);
+        let mut est = config.build();
+        for a in 0..500u64 {
+            est.update(&[a], &[a % 3]);
+        }
+        let bytes = est.to_bytes();
+        let differing = [
+            (
+                config.conditions(ImplicationConditions::strict_one_to_one(2)),
+                "conditions",
+            ),
+            (config.bitmaps(32), "bitmaps"),
+            (config.fringe(Fringe::Unbounded), "fringe"),
+            (config.seed(7), "seed"),
+        ];
+        for (other, quantity) in differing {
+            match other.restore(bytes.clone()) {
+                Err(SnapshotError::Mismatch {
+                    quantity: got,
+                    snapshot,
+                    configured,
+                }) => {
+                    assert_eq!(got, quantity);
+                    assert_ne!(snapshot, configured, "{quantity}");
+                }
+                refused => panic!("{quantity}: {refused:?}"),
+            }
+        }
+        let limit = 4 * config.construction_floor();
+        let restored = config
+            .memory_budget(limit)
+            .restore(bytes)
+            .expect("same config");
+        assert_eq!(restored.memory_budget().limit(), limit);
+        assert_eq!(restored.to_bytes(), est.to_bytes());
     }
 
     /// Streams `n_impl` implicating and `n_viol` violating itemsets.

@@ -26,7 +26,10 @@
 //! exists with the same API but is a zero-sized shell whose methods are
 //! empty `#[inline]` bodies — call sites compile unchanged and the
 //! optimizer erases them, so the disabled path costs literally nothing.
-//! [`MetricsRegistry::enabled`] reports which world was compiled.
+//! [`MetricsRegistry::enabled`] reports which world was compiled. The
+//! one exception is [`Log2Histogram`], always compiled: the registry's
+//! [`Histogram`] is that type with the feature on, and the fleet and
+//! edge latency quantiles use it directly under any features.
 //!
 //! # Sharing
 //!
@@ -54,7 +57,6 @@
 //! }
 //! ```
 
-#[cfg(feature = "metrics")]
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 #[cfg(feature = "metrics")]
 use std::sync::Arc;
@@ -68,9 +70,10 @@ use crate::state::DirtyReason;
 /// coarsens.
 pub const LANES: usize = 16;
 
-/// Number of power-of-two buckets in a [`Histogram`] (values ≥ 2^30 land
-/// in the last bucket).
-pub const HISTOGRAM_BUCKETS: usize = 32;
+/// Number of power-of-two buckets in a [`Log2Histogram`]: one per bit
+/// length, so every `u64` has its own bucket up to 2^62 (values ≥ 2^62
+/// share the last).
+pub const HISTOGRAM_BUCKETS: usize = 64;
 
 /// A monotonically increasing event counter (relaxed atomic).
 #[derive(Debug)]
@@ -205,69 +208,47 @@ impl Default for Gauge {
 /// nanoseconds, sizes in bytes). Bucket `i` holds values whose bit length
 /// is `i` — i.e. `[2^(i−1), 2^i)` — so relative resolution is a constant
 /// 2× at every scale, which is what latency/size telemetry needs.
+///
+/// Always compiled, whatever the features: the fleet registry and the
+/// serve binary's edge status take their latency quantiles from it
+/// directly, and those must survive `--no-default-features`. Registry
+/// fields use it through [`Histogram`], which the `metrics` feature gates.
 #[derive(Debug)]
-pub struct Histogram {
-    #[cfg(feature = "metrics")]
+pub struct Log2Histogram {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    #[cfg(feature = "metrics")]
     count: AtomicU64,
-    #[cfg(feature = "metrics")]
     sum: AtomicU64,
 }
 
-impl Histogram {
+impl Log2Histogram {
     /// An empty histogram.
     pub const fn new() -> Self {
-        #[cfg(feature = "metrics")]
-        {
-            #[allow(clippy::declare_interior_mutable_const)]
-            const ZERO: AtomicU64 = AtomicU64::new(0);
-            Self {
-                buckets: [ZERO; HISTOGRAM_BUCKETS],
-                count: AtomicU64::new(0),
-                sum: AtomicU64::new(0),
-            }
-        }
-        #[cfg(not(feature = "metrics"))]
-        {
-            Self {}
+        #[allow(clippy::declare_interior_mutable_const)]
+        const ZERO: AtomicU64 = AtomicU64::new(0);
+        Self {
+            buckets: [ZERO; HISTOGRAM_BUCKETS],
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
         }
     }
 
     /// Records one observation.
     #[inline]
-    pub fn observe(&self, _v: u64) {
-        #[cfg(feature = "metrics")]
-        {
-            let idx = (64 - _v.leading_zeros() as usize).min(HISTOGRAM_BUCKETS - 1);
-            self.buckets[idx].fetch_add(1, Relaxed);
-            self.count.fetch_add(1, Relaxed);
-            self.sum.fetch_add(_v, Relaxed);
-        }
+    pub fn observe(&self, v: u64) {
+        let idx = (64 - v.leading_zeros() as usize).min(HISTOGRAM_BUCKETS - 1);
+        self.buckets[idx].fetch_add(1, Relaxed);
+        self.count.fetch_add(1, Relaxed);
+        self.sum.fetch_add(v, Relaxed);
     }
 
     /// Number of observations.
     pub fn count(&self) -> u64 {
-        #[cfg(feature = "metrics")]
-        {
-            self.count.load(Relaxed)
-        }
-        #[cfg(not(feature = "metrics"))]
-        {
-            0
-        }
+        self.count.load(Relaxed)
     }
 
     /// Sum of all observations.
     pub fn sum(&self) -> u64 {
-        #[cfg(feature = "metrics")]
-        {
-            self.sum.load(Relaxed)
-        }
-        #[cfg(not(feature = "metrics"))]
-        {
-            0
-        }
+        self.sum.load(Relaxed)
     }
 
     /// Mean observation, or 0.0 with no data.
@@ -282,33 +263,69 @@ impl Histogram {
 
     /// Upper bound (exclusive, a power of two) of the bucket containing
     /// the `q`-quantile, or 0 with no data. `q` is clamped to `[0, 1]`.
-    pub fn quantile_bound(&self, _q: f64) -> u64 {
-        #[cfg(feature = "metrics")]
-        {
-            let total = self.count.load(Relaxed);
-            if total == 0 {
-                return 0;
-            }
-            let target = (_q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
-            let mut seen = 0u64;
-            for (i, b) in self.buckets.iter().enumerate() {
-                seen += b.load(Relaxed);
-                if seen >= target {
-                    return 1u64 << i;
-                }
-            }
-            u64::MAX
+    pub fn quantile_bound(&self, q: f64) -> u64 {
+        let total = self.count();
+        if total == 0 {
+            return 0;
         }
-        #[cfg(not(feature = "metrics"))]
-        {
-            0
+        let target = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
+        let mut seen = 0u64;
+        for (i, b) in self.buckets.iter().enumerate() {
+            seen += b.load(Relaxed);
+            if seen >= target {
+                return 1u64 << i;
+            }
         }
+        u64::MAX
     }
 }
 
-impl Default for Histogram {
+impl Default for Log2Histogram {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// The registry's histogram: a [`Log2Histogram`] with the `metrics`
+/// feature on, a zero-sized no-op with the same API with it off.
+#[cfg(feature = "metrics")]
+pub type Histogram = Log2Histogram;
+
+/// The registry's histogram: a [`Log2Histogram`] with the `metrics`
+/// feature on, a zero-sized no-op with the same API with it off.
+#[cfg(not(feature = "metrics"))]
+#[derive(Debug, Default)]
+pub struct Histogram;
+
+#[cfg(not(feature = "metrics"))]
+impl Histogram {
+    /// An empty histogram.
+    pub const fn new() -> Self {
+        Self
+    }
+
+    /// Records nothing.
+    #[inline]
+    pub fn observe(&self, _v: u64) {}
+
+    /// Always 0.
+    pub fn count(&self) -> u64 {
+        0
+    }
+
+    /// Always 0.
+    pub fn sum(&self) -> u64 {
+        0
+    }
+
+    /// Always 0.0.
+    pub fn mean(&self) -> f64 {
+        0.0
+    }
+
+    /// Always 0.
+    pub fn quantile_bound(&self, _q: f64) -> u64 {
+        0
     }
 }
 
@@ -1171,6 +1188,22 @@ mod tests {
             g.set(100);
             assert_eq!(g.peak(), 100);
         }
+    }
+
+    #[test]
+    fn log2_histogram_counts_under_any_features() {
+        let h = Log2Histogram::new();
+        for v in [0u64, 1, 1, 2, 3, 900, 1000, 1100] {
+            h.observe(v);
+        }
+        assert_eq!(h.count(), 8);
+        assert_eq!(h.sum(), 3007);
+        assert!(h.quantile_bound(0.5) <= 4);
+        assert_eq!(h.quantile_bound(0.95), 2048);
+        assert_eq!(Log2Histogram::new().quantile_bound(0.5), 0);
+        // Values past 2^30 keep their own buckets.
+        h.observe(1 << 40);
+        assert_eq!(h.quantile_bound(1.0), 1 << 41);
     }
 
     #[test]

@@ -445,6 +445,11 @@ impl NipsBitmap {
         self.policy.fringe.is_some()
     }
 
+    /// The bounded fringe size in cells, or `None` when unbounded.
+    pub(crate) fn fringe(&self) -> Option<u32> {
+        self.policy.fringe
+    }
+
     /// Prefetches the fringe-arena slot an imminent
     /// [`update`](Self::update) for `a_key` would probe first. Batch
     /// callers that know the next pair one iteration ahead use this to

@@ -137,18 +137,11 @@ struct SharedRegisters {
     /// Pre-hashed pairs *applied* (drained and updated) across all
     /// shards — trails the routed count by the in-flight backlog.
     applied: AtomicU64,
-    /// Tracked entries per shard (each worker stores its own slot).
-    entries: Box<[AtomicU64]>,
 }
 
 impl SharedRegisters {
-    /// Captures `base`'s current per-bitmap registers, with entry counts
-    /// pre-assigned to the shard that will own each bitmap.
-    fn capture(base: &ImplicationEstimator, threads: usize) -> Self {
-        let mut entries = vec![0u64; threads];
-        for (i, bm) in base.bitmaps().iter().enumerate() {
-            entries[i % threads] += bm.entries() as u64;
-        }
+    /// Captures `base`'s current per-bitmap registers.
+    fn capture(base: &ImplicationEstimator) -> Self {
         Self {
             ranks: base
                 .bitmaps()
@@ -156,7 +149,6 @@ impl SharedRegisters {
                 .map(|bm| AtomicU64::new(pack_ranks(bm.rank_f0_sup(), bm.rank_non_implication())))
                 .collect(),
             applied: AtomicU64::new(base.tuples_seen()),
-            entries: entries.into_iter().map(AtomicU64::new).collect(),
         }
     }
 
@@ -169,9 +161,6 @@ impl SharedRegisters {
                 Ordering::Release,
             );
         }
-        // Non-owned bitmaps of this shard are pristine, so the shard's
-        // entry count is exactly its owned bitmaps' count.
-        self.entries[k].store(shard.entries() as u64, Ordering::Release);
         self.applied.fetch_add(applied, Ordering::Release);
     }
 }
@@ -260,7 +249,7 @@ impl ShardedEstimator {
         metrics.ingest.shards.set(threads as u64);
         let ingest_span = trace.span(SpanKind::Ingest);
         let template = base.fresh_like();
-        let registers = Arc::new(SharedRegisters::capture(&base, threads));
+        let registers = Arc::new(SharedRegisters::capture(&base));
         let preloaded = base.tuples_seen();
         let mut recycled = Vec::with_capacity(threads);
         let mut shards = Vec::with_capacity(threads);
@@ -462,20 +451,8 @@ impl ShardedEstimator {
             .iter()
             .map(|r| r.load(Ordering::Acquire))
             .collect();
-        let entries = self
-            .registers
-            .entries
-            .iter()
-            .map(|e| e.load(Ordering::Acquire))
-            .sum();
-        ReadView::from_parts(
-            self.registers.applied.load(Ordering::Acquire),
-            entries,
-            self.template.memory_budget().used() as u64,
-            *self.template.conditions(),
-            ranks,
-            None,
-        )
+        let applied = self.registers.applied.load(Ordering::Acquire);
+        ReadView::from_parts(applied, *self.template.conditions(), ranks)
     }
 
     /// Flushes, joins the workers, and reassembles the single merged

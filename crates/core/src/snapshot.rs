@@ -43,6 +43,17 @@ pub enum SnapshotError {
     Truncated,
     /// A decoded value is structurally invalid (e.g. cell index ≥ 64).
     Corrupt(&'static str),
+    /// The snapshot was built with another configuration (refused by
+    /// [`EstimatorConfig::restore`](crate::EstimatorConfig::restore)).
+    Mismatch {
+        /// The [`EstimatorConfig`](crate::EstimatorConfig) setter whose
+        /// value differs: `conditions`, `bitmaps`, `fringe` or `seed`.
+        quantity: &'static str,
+        /// Its value in the snapshot.
+        snapshot: String,
+        /// Its value in the configuration.
+        configured: String,
+    },
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -52,6 +63,14 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::BadVersion(v) => write!(f, "unsupported snapshot version {v}"),
             SnapshotError::Truncated => write!(f, "snapshot truncated"),
             SnapshotError::Corrupt(what) => write!(f, "snapshot corrupt: {what}"),
+            SnapshotError::Mismatch {
+                quantity,
+                snapshot,
+                configured,
+            } => write!(
+                f,
+                "snapshot was built with {quantity} {snapshot}, not {configured}"
+            ),
         }
     }
 }

@@ -82,6 +82,7 @@ pub const DEFAULT_JOURNAL_EVENTS: usize = 65_536;
 /// (2^48 tuples ≈ 2.8 × 10^14 — far beyond any workload here).
 pub const POSITION_BITS: u32 = 48;
 
+#[cfg(feature = "trace")]
 const POSITION_MASK: u64 = (1 << POSITION_BITS) - 1;
 
 /// The coarse phases bracketed by duration spans ([`Span`]).
@@ -115,6 +116,7 @@ impl SpanKind {
         }
     }
 
+    #[cfg(feature = "trace")]
     fn tag(self) -> u64 {
         match self {
             SpanKind::Ingest => 0,
@@ -126,6 +128,7 @@ impl SpanKind {
         }
     }
 
+    #[cfg(feature = "trace")]
     fn from_tag(tag: u64) -> Option<Self> {
         Some(match tag {
             0 => SpanKind::Ingest,
@@ -139,6 +142,7 @@ impl SpanKind {
     }
 }
 
+#[cfg(feature = "trace")]
 fn reason_tag(reason: DirtyReason) -> u64 {
     match reason {
         DirtyReason::Multiplicity => 0,
@@ -147,6 +151,7 @@ fn reason_tag(reason: DirtyReason) -> u64 {
     }
 }
 
+#[cfg(feature = "trace")]
 fn reason_from_tag(tag: u64) -> Option<DirtyReason> {
     Some(match tag {
         0 => DirtyReason::Multiplicity,
@@ -300,6 +305,7 @@ pub enum TraceEvent {
 impl TraceEvent {
     /// Packs the event into three words: `w0` = kind (8 bits) | subtag
     /// (8 bits) | position/aux (48 bits); `w1`, `w2` = payload.
+    #[cfg(feature = "trace")]
     fn encode(&self) -> [u64; 3] {
         fn w0(kind: u64, subtag: u64, aux: u64) -> u64 {
             kind | (subtag << 8) | ((aux & POSITION_MASK) << 16)
@@ -362,6 +368,7 @@ impl TraceEvent {
         }
     }
 
+    #[cfg(feature = "trace")]
     fn decode(w: [u64; 3]) -> Option<TraceEvent> {
         let kind = w[0] & 0xff;
         let subtag = (w[0] >> 8) & 0xff;

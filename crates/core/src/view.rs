@@ -66,6 +66,16 @@
 //! assert_eq!(reader.estimate(), est.estimate_now());
 //! assert_eq!(reader.tuples(), 10_000);
 //! ```
+//!
+//! # Views are not snapshots
+//!
+//! A view holds the read-off registers only. Restorable state is encoded
+//! by the writer, with [`to_bytes`](crate::ImplicationEstimator::to_bytes),
+//! when asked: `implicate-serve`'s `GET /snapshot` asks the role's writer
+//! in line with its ingest. A standalone or edge server answers with
+//! every row applied before the request, an aggregator with its merged
+//! state; `--threads N > 1` answers `503` (the lanes hold no assembled
+//! state) and the catalog role `404` (its state is per query).
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -95,9 +105,10 @@ pub(crate) fn unpack_ranks(packed: u64) -> (u32, u32) {
     ((packed >> 32) as u32, packed as u32)
 }
 
-/// An immutable, published snapshot of everything the CI read-off needs:
-/// the per-bitmap rank registers, the stream counters, and (optionally)
-/// the canonical VERSION 2 snapshot encoding as a portable payload.
+/// An immutable, published copy of everything the CI read-off needs:
+/// the per-bitmap rank registers and the stream counters — read-off
+/// registers only, never restorable state (see "Views are not
+/// snapshots" in the module docs).
 ///
 /// Obtained from an [`EstimateReader`]; see the module docs for the
 /// publication protocol.
@@ -105,35 +116,19 @@ pub(crate) fn unpack_ranks(packed: u64) -> (u32, u32) {
 pub struct ReadView {
     epoch: u64,
     tuples: u64,
-    entries: u64,
-    tracked_bytes: u64,
     cond: ImplicationConditions,
     /// One packed `(rank_f0_sup, rank_non_implication)` word per bitmap,
     /// in bitmap order (see [`pack_ranks`]).
     ranks: Box<[u64]>,
-    /// The canonical snapshot encoding captured at publication, when the
-    /// writer published with
-    /// [`publish_full`](crate::ImplicationEstimator::publish_full).
-    snapshot: Option<bytes::Bytes>,
 }
 
 impl ReadView {
-    pub(crate) fn from_parts(
-        tuples: u64,
-        entries: u64,
-        tracked_bytes: u64,
-        cond: ImplicationConditions,
-        ranks: Box<[u64]>,
-        snapshot: Option<bytes::Bytes>,
-    ) -> Self {
+    pub(crate) fn from_parts(tuples: u64, cond: ImplicationConditions, ranks: Box<[u64]>) -> Self {
         Self {
             epoch: 0,
             tuples,
-            entries,
-            tracked_bytes,
             cond,
             ranks,
-            snapshot,
         }
     }
 
@@ -146,16 +141,6 @@ impl ReadView {
     /// Tuples the writer had ingested when this view was published.
     pub fn tuples(&self) -> u64 {
         self.tuples
-    }
-
-    /// Tracked itemset entries at publication (the §6.2 memory metric).
-    pub fn entries(&self) -> u64 {
-        self.entries
-    }
-
-    /// Bytes of tracked state at publication.
-    pub fn tracked_bytes(&self) -> u64 {
-        self.tracked_bytes
     }
 
     /// The conditions under estimation.
@@ -175,14 +160,6 @@ impl ReadView {
             sum_non += non;
         }
         estimate_from_rank_sums(sum_sup, sum_non, m)
-    }
-
-    /// The canonical VERSION 2 snapshot payload, when this view was
-    /// published with [`publish_full`](crate::ImplicationEstimator::publish_full)
-    /// — restorable with
-    /// [`ImplicationEstimator::from_bytes`](crate::ImplicationEstimator::from_bytes).
-    pub fn snapshot(&self) -> Option<&bytes::Bytes> {
-        self.snapshot.as_ref()
     }
 }
 

@@ -242,6 +242,7 @@ impl From<SnapshotError> for WireError {
             SnapshotError::BadVersion(v) => WireError::BadVersion(v),
             SnapshotError::Truncated => WireError::Truncated,
             SnapshotError::Corrupt(what) => WireError::Corrupt(what),
+            SnapshotError::Mismatch { quantity, .. } => WireError::ConfigMismatch(quantity),
         }
     }
 }

@@ -21,15 +21,19 @@
 //!   observability block — see DESIGN.md §8.7), `GET /metrics`
 //!   (Prometheus exposition with `# HELP`/`# TYPE` metadata, plus
 //!   per-node fleet series on an aggregator and `edge_*` series on an
-//!   edge), `GET /snapshot` (the latest stored snapshot, VERSION 2
-//!   codec: the startup state, then each checkpoint, and on an
-//!   aggregator every merged state), `GET /healthz`, and
-//!   `POST /shutdown` (graceful: drain, final publish, checkpoint, exit).
+//!   edge), `GET /snapshot` (VERSION 2 codec bytes of the writer's
+//!   current state, encoded on request: every row applied before it on a
+//!   standalone or edge server, the merged state on an aggregator; `503`
+//!   under `--threads N > 1`, `404` in the catalog role), `GET /healthz`,
+//!   and `POST /shutdown` (graceful: drain, final publish, checkpoint,
+//!   exit).
 //! * **Checkpoints** go to `--checkpoint` at graceful shutdown and, with
 //!   `--checkpoint-every N`, at any publish (by row count or when idle)
 //!   once `tuples_seen` is N past the last checkpoint. Restart with the
 //!   same file resumes from the snapshot — estimates continue
-//!   bit-identically from where the previous process stopped.
+//!   bit-identically from where the previous process stopped — after
+//!   `EstimatorConfig::restore` checks that the snapshot was built with
+//!   the same conditions, `--bitmaps`, `--fringe` and `--seed`.
 //!
 //! The binary is pure `std`: no async runtime, one lightweight thread
 //! per connection, and one writer thread. Every role's writer runs the
@@ -379,9 +383,6 @@ struct Shared {
     accepted: AtomicU64,
     /// Rows dropped because a projection column was missing.
     skipped: AtomicU64,
-    /// Latest stored snapshot bytes (stored by the writer thread through
-    /// [`Checkpoints::store`], served verbatim by `GET /snapshot`).
-    snapshot: Mutex<Option<bytes::Bytes>>,
     metrics: MetricsHandle,
     /// Trace ring shared with the estimator and the wire codec — sized
     /// when the flight recorder is armed, disabled otherwise.
@@ -467,7 +468,7 @@ impl Pipeline {
             // on the inherited channel.
             Pipeline::Sharded(sharded) => sharded.finish(),
         };
-        est.publish_full();
+        est.publish();
         est
     }
 }
@@ -503,10 +504,10 @@ trait Writer {
     type Msg: Send;
     fn apply(&mut self, msg: Self::Msg, shared: &Shared);
     /// Runs after each [`POLL`] that received nothing.
-    fn idle(&mut self, _shared: &Shared) {}
-    /// Publishes and stores the final state; returns (rows or frames
-    /// this session, final tuple count).
-    fn finish(self, shared: &Shared) -> (u64, u64);
+    fn idle(&mut self) {}
+    /// Publishes and checkpoints the final state; returns (rows or
+    /// frames this session, final tuple count).
+    fn finish(self) -> (u64, u64);
 }
 
 /// The receive loop of every role: applies each message as it arrives
@@ -518,22 +519,42 @@ fn writer_loop<W: Writer>(mut writer: W, rx: &Receiver<W::Msg>, shared: &Shared)
         match rx.recv_timeout(POLL) {
             Ok(msg) => writer.apply(msg, shared),
             Err(RecvTimeoutError::Timeout) if shared.stop.load(Ordering::Acquire) => break,
-            Err(RecvTimeoutError::Timeout) => writer.idle(shared),
+            Err(RecvTimeoutError::Timeout) => writer.idle(),
             Err(RecvTimeoutError::Disconnected) => break,
         }
     }
     while let Ok(msg) = rx.try_recv() {
         writer.apply(msg, shared);
     }
-    let totals = writer.finish(shared);
+    let totals = writer.finish();
     shared.writer_done.store(true, Ordering::Release);
     totals
 }
 
-/// The snapshot store of the standalone, edge and aggregator roles:
-/// serves the latest stored state on `GET /snapshot` and writes it to
-/// the `--checkpoint` file as a checkpoint. A checkpoint is due at a
-/// publish once `--checkpoint-every` tuples arrived since the last one.
+/// A message to the writer of the standalone, edge or aggregator role:
+/// an ingest item (a row batch or a wire frame), or a `GET /snapshot`
+/// request, answered in line with the items before it.
+enum Msg<T> {
+    Ingest(T),
+    /// Replies with `to_bytes()` of the writer's current state, or `None`
+    /// under `--threads N > 1`, whose lanes hold no assembled mid-run
+    /// state.
+    Snapshot(SyncSender<Option<bytes::Bytes>>),
+}
+
+impl<T> From<Vec<T>> for Msg<Vec<T>> {
+    fn from(rows: Vec<T>) -> Self {
+        Msg::Ingest(rows)
+    }
+}
+
+/// A role's `GET /snapshot` answer: its writer's current state (the
+/// catalog role answers `404`).
+type AskSnapshot = dyn Fn() -> Result<Option<bytes::Bytes>, Answer> + Send + Sync;
+
+/// The `--checkpoint` file of the standalone, edge and aggregator roles.
+/// A checkpoint is due at a publish once `--checkpoint-every` tuples
+/// arrived since the last one.
 struct Checkpoints {
     path: Option<String>,
     every: Option<u64>,
@@ -547,21 +568,17 @@ impl Checkpoints {
             .is_some_and(|n| tuples.saturating_sub(self.last) >= n)
     }
 
-    /// Serves `data`, the state at `tuples`, on `/snapshot`; as a
-    /// `checkpoint`, also replaces the checkpoint file atomically
-    /// (write temp + rename).
-    fn store(&mut self, shared: &Shared, data: bytes::Bytes, tuples: u64, checkpoint: bool) {
-        if checkpoint {
-            self.last = tuples;
-            if let Some(path) = &self.path {
-                let tmp = format!("{path}.tmp");
-                match std::fs::write(&tmp, &data).and_then(|()| std::fs::rename(&tmp, path)) {
-                    Ok(()) => eprintln!("implicate-serve: checkpointed {tuples} tuples to {path}"),
-                    Err(e) => eprintln!("implicate-serve: checkpoint {path}: {e}"),
-                }
-            }
+    /// Replaces the checkpoint file with `est`'s state atomically (write
+    /// temp + rename). Without `--checkpoint` nothing is encoded.
+    fn write(&mut self, est: &ImplicationEstimator) {
+        let Some(path) = &self.path else { return };
+        let tuples = est.tuples_seen();
+        self.last = tuples;
+        let tmp = format!("{path}.tmp");
+        match std::fs::write(&tmp, est.to_bytes()).and_then(|()| std::fs::rename(&tmp, path)) {
+            Ok(()) => eprintln!("implicate-serve: checkpointed {tuples} tuples to {path}"),
+            Err(e) => eprintln!("implicate-serve: checkpoint {path}: {e}"),
         }
-        *shared.snapshot.lock().unwrap() = Some(data);
     }
 }
 
@@ -603,8 +620,8 @@ impl Shipper {
 
 /// Standalone and edge roles: applies hashed row batches to the
 /// pipeline, publishes a view every `--publish-every` rows and when
-/// idle, makes that publish a checkpoint when one is due, and on an
-/// edge ships the state upstream.
+/// idle, checkpoints at a publish when one is due, answers `/snapshot`
+/// requests, and on an edge ships the state upstream.
 struct TextWriter {
     pipeline: Pipeline,
     publish_every: u64,
@@ -621,27 +638,34 @@ struct TextWriter {
 }
 
 impl TextWriter {
-    fn publish(&mut self, shared: &Shared) {
+    fn publish(&mut self) {
         self.since_publish = 0;
-        match &mut self.pipeline {
-            // Mid-run checkpoints need the sequential estimator; sharded
-            // runs checkpoint once, at shutdown.
-            Pipeline::Sequential(est) if self.checkpoints.due(est.tuples_seen()) => {
-                est.publish_full();
-                let tuples = est.tuples_seen();
-                self.checkpoints.store(shared, est.to_bytes(), tuples, true);
-            }
-            pipeline => {
-                pipeline.publish();
+        self.pipeline.publish();
+        // Mid-run checkpoints need the sequential estimator; sharded
+        // runs checkpoint once, at shutdown.
+        if let Some(est) = self.pipeline.sequential() {
+            if self.checkpoints.due(est.tuples_seen()) {
+                self.checkpoints.write(est);
             }
         }
     }
 }
 
 impl Writer for TextWriter {
-    type Msg = Vec<(u64, u64)>;
+    type Msg = Msg<Vec<(u64, u64)>>;
 
-    fn apply(&mut self, batch: Self::Msg, shared: &Shared) {
+    fn apply(&mut self, msg: Self::Msg, _shared: &Shared) {
+        let batch = match msg {
+            Msg::Ingest(batch) => batch,
+            Msg::Snapshot(reply) => {
+                let state = self
+                    .pipeline
+                    .sequential()
+                    .map(ImplicationEstimator::to_bytes);
+                let _ = reply.send(state);
+                return;
+            }
+        };
         let n = batch.len() as u64;
         self.pipeline.apply(&batch);
         self.rows += n;
@@ -650,12 +674,12 @@ impl Writer for TextWriter {
             ship.ship(self.pipeline.sequential(), n, false);
         }
         if self.since_publish >= self.publish_every {
-            self.publish(shared);
+            self.publish();
             self.published_settled = self.pipeline.backlog() == 0;
         }
     }
 
-    fn idle(&mut self, shared: &Shared) {
+    fn idle(&mut self) {
         // Ship any partial per-shard buffers to the lanes (full batches
         // ship eagerly; partials otherwise wait for more rows), then
         // publish until a settled view — one assembled with nothing left
@@ -665,7 +689,7 @@ impl Writer for TextWriter {
         }
         let settled = self.pipeline.backlog() == 0;
         if self.since_publish > 0 || !settled || !self.published_settled {
-            self.publish(shared);
+            self.publish();
             self.published_settled = settled;
         }
         if let Some(ship) = &mut self.ship {
@@ -673,10 +697,10 @@ impl Writer for TextWriter {
         }
     }
 
-    fn finish(mut self, shared: &Shared) -> (u64, u64) {
+    fn finish(mut self) -> (u64, u64) {
         let est = self.pipeline.into_final();
         let tuples = est.tuples_seen();
-        self.checkpoints.store(shared, est.to_bytes(), tuples, true);
+        self.checkpoints.write(&est);
         // The final state always ships (an unchanged-state delta is a few
         // bytes), so a graceful edge shutdown never strands its tail.
         if let Some(ship) = &mut self.ship {
@@ -825,13 +849,13 @@ impl Writer for CatalogWriter {
         }
     }
 
-    fn idle(&mut self, _shared: &Shared) {
+    fn idle(&mut self) {
         if self.since_publish > 0 {
             self.publish();
         }
     }
 
-    fn finish(mut self, _shared: &Shared) -> (u64, u64) {
+    fn finish(mut self) -> (u64, u64) {
         self.publish();
         (self.rows, self.catalog.tuples_seen())
     }
@@ -965,7 +989,7 @@ fn edge_sender(upstream: &str, node_id: u64, slot: &ShipSlot, shared: &Shared) {
 fn wire_ingest_connection(
     mut stream: TcpStream,
     shared: &Shared,
-    tx: &SyncSender<(bytes::Bytes, Arc<AtomicBool>)>,
+    tx: &SyncSender<Msg<(bytes::Bytes, Arc<AtomicBool>)>>,
 ) {
     stream.set_read_timeout(Some(POLL)).ok();
     let kill = Arc::new(AtomicBool::new(false));
@@ -1021,7 +1045,7 @@ fn wire_ingest_connection(
                     }
                     let rest = buf.split_off(total);
                     let frame = bytes::Bytes::from(std::mem::replace(&mut buf, rest));
-                    if tx.send((frame, Arc::clone(&kill))).is_err() {
+                    if tx.send(Msg::Ingest((frame, Arc::clone(&kill)))).is_err() {
                         return;
                     }
                 }
@@ -1043,8 +1067,8 @@ fn wire_ingest_connection(
 /// The aggregator's writer: the single owner of the serving estimator
 /// and of one [`WireDecoder`] replica per edge node. After every applied
 /// frame it republishes (readers keep their wait-free channel across
-/// re-aggregations), serves the new state on `/snapshot` and checkpoints
-/// when one is due.
+/// re-aggregations) and checkpoints when one is due; it answers
+/// `/snapshot` with the merged state.
 struct AggregateWriter {
     serving: ImplicationEstimator,
     template: EstimatorConfig,
@@ -1137,30 +1161,34 @@ impl AggregateWriter {
 }
 
 impl Writer for AggregateWriter {
-    type Msg = (bytes::Bytes, Arc<AtomicBool>);
+    type Msg = Msg<(bytes::Bytes, Arc<AtomicBool>)>;
 
-    fn apply(&mut self, (frame, kill): Self::Msg, shared: &Shared) {
+    fn apply(&mut self, msg: Self::Msg, shared: &Shared) {
+        let (frame, kill) = match msg {
+            Msg::Ingest(item) => item,
+            Msg::Snapshot(reply) => {
+                let _ = reply.send(Some(self.serving.to_bytes()));
+                return;
+            }
+        };
         if !self.apply_frame(frame, &kill, shared) {
             return;
         }
         self.frames += 1;
         let publish_started = Instant::now();
-        self.serving.publish_full();
-        let data = self.serving.to_bytes();
+        self.serving.publish();
         if let Some(fleet) = &shared.fleet {
             fleet.observe_publish_nanos(publish_started.elapsed().as_nanos() as u64);
         }
-        let tuples = self.serving.tuples_seen();
-        let due = self.checkpoints.due(tuples);
-        self.checkpoints.store(shared, data, tuples, due);
+        if self.checkpoints.due(self.serving.tuples_seen()) {
+            self.checkpoints.write(&self.serving);
+        }
     }
 
-    fn finish(mut self, shared: &Shared) -> (u64, u64) {
-        self.serving.publish_full();
-        let tuples = self.serving.tuples_seen();
-        self.checkpoints
-            .store(shared, self.serving.to_bytes(), tuples, true);
-        (self.frames, tuples)
+    fn finish(mut self) -> (u64, u64) {
+        self.serving.publish();
+        self.checkpoints.write(&self.serving);
+        (self.frames, self.serving.tuples_seen())
     }
 }
 
@@ -1170,12 +1198,7 @@ fn main() {
     // Restore or build the estimator.
     let mut est = match &opts.checkpoint {
         Some(path) if std::path::Path::new(path).exists() => {
-            let raw = std::fs::read(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-            let est = ImplicationEstimator::from_bytes(bytes::Bytes::from(raw))
-                .unwrap_or_else(|e| die(&format!("{path}: {e}")));
-            if est.conditions() != opts.config.conditions_ref() {
-                die("checkpoint was built with different implication conditions");
-            }
+            let est = spec::restore_snapshot(&opts.config, path).unwrap_or_else(|e| die(&e));
             eprintln!(
                 "implicate-serve: restored {} tuples from {path}",
                 est.tuples_seen()
@@ -1184,11 +1207,6 @@ fn main() {
         }
         _ => opts.config.build(),
     };
-    if opts.checkpoint.is_some() {
-        // A snapshot restores against an unlimited budget; re-arm the
-        // requested ceiling before ingestion continues.
-        est.set_memory_budget(opts.config.memory_budget_limit());
-    }
 
     // Arm the trace ring when a flight recorder wants it drained: the
     // ring feeds the wire codec's typed events (frame encoded/rejected,
@@ -1242,7 +1260,6 @@ fn main() {
         writer_done: AtomicBool::new(false),
         accepted: AtomicU64::new(0),
         skipped: AtomicU64::new(0),
-        snapshot: Mutex::new(None),
         metrics: est.metrics().clone(),
         trace,
         fleet: opts
@@ -1256,10 +1273,6 @@ fn main() {
         started: std::time::Instant::now(),
         role,
     });
-
-    // Seed /snapshot with the restored/initial state so the endpoint is
-    // never empty once the service is up.
-    *shared.snapshot.lock().unwrap() = Some(est.to_bytes());
 
     let ingest_listener = TcpListener::bind(&opts.ingest_addr)
         .unwrap_or_else(|e| die(&format!("bind {}: {e}", opts.ingest_addr)));
@@ -1290,7 +1303,12 @@ fn main() {
         last: est.tuples_seen(),
     };
     let mut cat_shared = None;
+    let ask_snapshot: Arc<AskSnapshot>;
     let writer = if opts.catalog {
+        ask_snapshot = Arc::new(|| {
+            let body = b"no snapshots in catalog mode (state is per-query)\n".to_vec();
+            Err(("404 Not Found", "text/plain", body))
+        });
         let (tx, rx) = sync_channel(INGEST_DEPTH);
         let schema = Schema::new((0..opts.arity).map(|i| (format!("c{i}"), 0)));
         let mut catalog = QueryCatalog::new(&schema, opts.config);
@@ -1337,6 +1355,8 @@ fn main() {
         std::thread::spawn(move || writer_loop(writer, &rx, &shared))
     } else if opts.aggregate {
         let (tx, rx) = sync_channel(INGEST_DEPTH);
+        let ask = tx.clone();
+        ask_snapshot = Arc::new(move || ask_writer(&ask, Msg::Snapshot));
         let acceptor_shared = Arc::clone(&shared);
         std::thread::spawn(move || {
             accept_loop(&ingest_listener, &acceptor_shared, move |stream, shared| {
@@ -1355,6 +1375,8 @@ fn main() {
         std::thread::spawn(move || writer_loop(writer, &rx, &shared))
     } else {
         let (tx, rx) = sync_channel(INGEST_DEPTH);
+        let ask = tx.clone();
+        ask_snapshot = Arc::new(move || ask_writer(&ask, Msg::Snapshot));
         let rows = RowReader::new(&[&opts.lhs[..], &opts.rhs[..]].concat(), opts.delimiter);
         let split = opts.lhs.len();
         spawn_text_ingest(ingest_listener, Arc::clone(&shared), rows, tx, move |w| {
@@ -1413,9 +1435,9 @@ fn main() {
         std::thread::spawn(move || {
             accept_loop(&query_listener, &shared, move |stream, shared| {
                 let reader = reader_proto.clone();
-                let cat = cat.clone();
+                let (cat, ask) = (cat.clone(), Arc::clone(&ask_snapshot));
                 std::thread::spawn(move || {
-                    query_connection(stream, &shared, &reader, cat.as_deref());
+                    query_connection(stream, &shared, &reader, cat.as_deref(), &*ask);
                 });
             });
         });
@@ -1534,18 +1556,19 @@ fn ingest_connection<T, M: From<Vec<T>>>(
 /// An HTTP answer: status, content type, body.
 type Answer = (&'static str, &'static str, Vec<u8>);
 
-/// Sends the control request `msg` builds to the catalog writer and
-/// waits up to 5 s for its reply; the error is the `503` answer.
-fn ask_writer<R>(
-    cat: &CatalogShared,
-    msg: impl FnOnce(SyncSender<R>) -> CatalogMsg,
+/// Sends the request `msg` builds to a role's writer, in line with its
+/// ingest, and waits up to 5 s for the reply; the error is the `503`
+/// answer.
+fn ask_writer<M, R>(
+    writer: &SyncSender<M>,
+    msg: impl FnOnce(SyncSender<R>) -> M,
 ) -> Result<R, Answer> {
     let unavailable = |why: &str| {
-        let body = format!("catalog writer {why}\n").into_bytes();
+        let body = format!("writer {why}\n").into_bytes();
         ("503 Service Unavailable", "text/plain", body)
     };
     let (reply_tx, reply_rx) = sync_channel(1);
-    cat.writer
+    writer
         .send(msg(reply_tx))
         .map_err(|_| unavailable("is gone"))?;
     reply_rx
@@ -1640,7 +1663,7 @@ fn catalog_route(
                     b"empty body: expected one query spec line\n".to_vec(),
                 ));
             }
-            let reply = ask_writer(cat, |reply| CatalogMsg::Register {
+            let reply = ask_writer(&cat.writer, |reply| CatalogMsg::Register {
                 line: line.to_string(),
                 reply,
             });
@@ -1673,7 +1696,7 @@ fn catalog_route(
                 ));
             };
             Some(
-                match ask_writer(cat, |reply| CatalogMsg::Retire { id, reply }) {
+                match ask_writer(&cat.writer, |reply| CatalogMsg::Retire { id, reply }) {
                     Ok(true) => (
                         "200 OK",
                         "text/plain",
@@ -1704,11 +1727,6 @@ fn catalog_route(
             );
             Some(("200 OK", "application/json", body.into_bytes()))
         }
-        ("GET", "/snapshot") => Some((
-            "404 Not Found",
-            "text/plain",
-            b"no snapshots in catalog mode (state is per-query)\n".to_vec(),
-        )),
         _ => None,
     }
 }
@@ -1719,6 +1737,7 @@ fn query_connection(
     shared: &Shared,
     reader: &EstimateReader,
     catalog: Option<&CatalogShared>,
+    ask_snapshot: &AskSnapshot,
 ) {
     stream.set_read_timeout(Some(Duration::from_secs(5))).ok();
     let mut buf = Vec::with_capacity(512);
@@ -1828,13 +1847,16 @@ fn query_connection(
                 body.push_str("}\n");
                 ("200 OK", "application/json", body.into_bytes())
             }
-            ("GET", "/snapshot") => match shared.snapshot.lock().unwrap().clone() {
-                Some(data) => ("200 OK", "application/octet-stream", data.to_vec()),
-                None => (
-                    "404 Not Found",
+            ("GET", "/snapshot") => match ask_snapshot() {
+                Ok(Some(data)) => ("200 OK", "application/octet-stream", data.to_vec()),
+                Ok(None) => (
+                    "503 Service Unavailable",
                     "text/plain",
-                    b"no checkpoint published yet\n".to_vec(),
+                    b"no mid-run snapshot under --threads N > 1: the lanes hold no \
+                      assembled state (the service checkpoints at shutdown)\n"
+                        .to_vec(),
                 ),
+                Err(answer) => answer,
             },
             ("GET", "/healthz") => ("200 OK", "text/plain", b"ok\n".to_vec()),
             ("POST", "/shutdown") | ("GET", "/shutdown") => {
@@ -1917,7 +1939,6 @@ mod tests {
             writer_done: AtomicBool::new(false),
             accepted: AtomicU64::new(0),
             skipped: AtomicU64::new(0),
-            snapshot: Mutex::new(None),
             metrics: MetricsHandle::new(),
             trace: TraceHandle::disabled(),
             fleet: Some(Arc::new(NodeRegistry::new(DEFAULT_STALE_AFTER_MS))),

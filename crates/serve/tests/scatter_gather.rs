@@ -16,7 +16,8 @@ use implicate::sketch::rank::split_rank;
 
 mod support;
 use support::{
-    assert_bits_match, hashed_pairs, library_run, serve_default_config, workload, Server,
+    assert_bits_match, assert_state_matches, hashed_pairs, library_run, serve_default_config,
+    served_snapshot, workload, Server,
 };
 
 const EDGES: usize = 3;
@@ -118,6 +119,8 @@ fn aggregated_estimate_is_bit_identical_to_a_single_node_run() {
     }
     let body = aggregator.wait_for_tuples(4_000);
     assert_bits_match(&body, &library_run(&wave2));
+    // /snapshot holds the merged state of the applied frames.
+    assert_state_matches(&served_snapshot(&aggregator), &library_run(&wave2));
 
     // ── Aggregator restart: graceful shutdown writes the checkpoint;
     // the replacement restores it and listens on the same port. The
@@ -140,6 +143,8 @@ fn aggregated_estimate_is_bit_identical_to_a_single_node_run() {
     let (status, snapshot) = aggregator.http("GET", "/snapshot");
     assert!(status.contains("200"), "snapshot after restore: {status}");
     assert!(!snapshot.is_empty());
+    let restored = implicate::ImplicationEstimator::from_bytes(bytes::Bytes::from(snapshot));
+    assert_state_matches(&restored.expect("snapshot decodes"), &library_run(&wave2));
 
     // ── Wave 3: the last 1 000 rows drive captures on every edge, so
     // every edge reconnects and the merged state converges on the full

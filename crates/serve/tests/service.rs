@@ -2,18 +2,21 @@
 //! ingestion, wait-free concurrent queries that stay bit-identical to a
 //! library run over the same rows, the Prometheus endpoint, the
 //! graceful shutdown → checkpoint → restart round trip, checkpoints at
-//! idle publishes, and the error exits of out-of-range estimator flags.
+//! idle publishes, `/snapshot` as the writer's current state, and the
+//! error exits of out-of-range estimator flags and of checkpoints built
+//! with other flags.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::process::Command;
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 use implicate::ImplicationEstimator;
 
 mod support;
 use support::{
-    assert_bits_match, field_u64, hashed_pairs, library_run, workload, Server, DEADLINE,
+    assert_bits_match, assert_state_matches, field_u64, hashed_pairs, library_run, served_snapshot,
+    workload, Server, DEADLINE,
 };
 
 #[test]
@@ -59,6 +62,8 @@ fn served_estimates_match_a_library_run_and_survive_restart() {
     let (status, snapshot) = server.http("GET", "/snapshot");
     assert!(status.contains("200"), "snapshot endpoint: {status}");
     assert!(!snapshot.is_empty());
+    let restored = ImplicationEstimator::from_bytes(bytes::Bytes::from(snapshot));
+    assert_state_matches(&restored.expect("snapshot decodes"), &est);
 
     let (status, _) = server.http("GET", "/healthz");
     assert!(status.contains("200"));
@@ -80,9 +85,37 @@ fn served_estimates_match_a_library_run_and_survive_restart() {
     est.update_hashed_batch(&hashed_pairs(&est.pair_hasher(), &extra));
     let body = server.wait_for_tuples(3_500);
     assert_bits_match(&body, &est);
+    // Without --checkpoint-every, /snapshot is still the current state.
+    assert_state_matches(&served_snapshot(&server), &est);
     server.shutdown();
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `/snapshot` is encoded on request from the writer's current state:
+/// with no checkpoint configured, nothing is encoded while rows arrive,
+/// and the answer holds every row applied before the request.
+#[test]
+fn snapshot_reflects_every_applied_row_without_checkpoints() {
+    let server = Server::spawn(&["--publish-every", "256"]);
+    let rows = workload(5_000);
+    server.ingest_rows(&rows);
+    server.wait_for_tuples(5_000);
+
+    let (_, metrics) = server.http("GET", "/metrics");
+    let metrics = String::from_utf8(metrics).expect("utf8 metrics");
+    if implicate::MetricsRegistry::enabled() {
+        assert!(
+            metrics.contains("\nimplicate_snapshot_encodes 0\n"),
+            "no encode before a /snapshot request: {metrics}"
+        );
+    }
+
+    let est = library_run(&rows);
+    let restored = served_snapshot(&server);
+    assert_state_matches(&restored, &est);
+    assert_eq!(restored.to_bytes(), est.to_bytes());
+    server.shutdown();
 }
 
 #[test]
@@ -143,6 +176,9 @@ fn concurrent_queries_ride_a_sharded_ingest_without_blocking() {
 
     let body = server.wait_for_tuples(24_000);
     assert!(field_u64(&body, "epoch") > 0);
+    // The lanes hold no assembled mid-run state to encode.
+    let (status, _) = server.http("GET", "/snapshot");
+    assert!(status.contains("503"), "sharded /snapshot: {status}");
     stop.store(true, std::sync::atomic::Ordering::Release);
     let total: u64 = readers.into_iter().map(|h| h.join().unwrap()).sum();
     assert!(total > 0, "queries were served during ingest");
@@ -221,4 +257,44 @@ fn out_of_range_estimator_flags_exit_2_naming_the_flag() {
         assert!(stderr.contains(flag), "{flag} {value}: {stderr}");
         assert!(!stderr.contains("panicked"), "{flag} {value}: {stderr}");
     }
+}
+
+/// A checkpoint restores only under the estimator flags it was built
+/// with: a differing `--seed`, `--bitmaps` or `--fringe` exits 2 with a
+/// one-line message naming the flag.
+#[test]
+fn checkpoint_built_with_other_flags_exits_2_naming_the_flag() {
+    let dir = std::env::temp_dir().join(format!("imp-serve-mismatch-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let checkpoint = dir.join("state.imps");
+    std::fs::write(&checkpoint, library_run(&workload(100)).to_bytes()).expect("write");
+    let checkpoint = checkpoint.to_str().expect("utf8 path");
+    for (flag, value) in [("--seed", "7"), ("--bitmaps", "32"), ("--fringe", "8")] {
+        for role in [&[][..], &["--aggregate"][..]] {
+            let mut child = Command::new(env!("CARGO_BIN_EXE_implicate-serve"))
+                .args(role)
+                .args(["--checkpoint", checkpoint, flag, value])
+                .stdout(Stdio::null())
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("spawn implicate-serve");
+            // A server that accepted the checkpoint would run on: stop it
+            // and fail rather than wait for it.
+            let start = Instant::now();
+            while child.try_wait().expect("poll child").is_none() {
+                if start.elapsed() > DEADLINE {
+                    let _ = child.kill();
+                    panic!("{flag} {value}: the server started on the checkpoint");
+                }
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            let out = child.wait_with_output().expect("collect output");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{flag} {value}: {stderr}");
+            assert_eq!(stderr.lines().count(), 1, "{flag} {value}: {stderr}");
+            assert!(stderr.contains(flag), "{flag} {value}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{flag} {value}: {stderr}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

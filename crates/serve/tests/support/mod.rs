@@ -269,6 +269,29 @@ pub fn library_run(rows: &str) -> ImplicationEstimator {
     est
 }
 
+/// `GET /snapshot`, which must answer `200`, restored with `from_bytes`.
+pub fn served_snapshot(server: &Server) -> ImplicationEstimator {
+    let (status, raw) = server.http("GET", "/snapshot");
+    assert!(status.contains("200"), "snapshot endpoint: {status}");
+    ImplicationEstimator::from_bytes(bytes::Bytes::from(raw)).expect("snapshot decodes")
+}
+
+/// Asserts a restored snapshot holds the library run's tuple count and
+/// estimate bits.
+pub fn assert_state_matches(restored: &ImplicationEstimator, est: &ImplicationEstimator) {
+    assert_eq!(restored.tuples_seen(), est.tuples_seen());
+    let (got, want) = (restored.estimate_now(), est.estimate_now());
+    assert_eq!(got.f0_sup.to_bits(), want.f0_sup.to_bits());
+    assert_eq!(
+        got.non_implication_count.to_bits(),
+        want.non_implication_count.to_bits()
+    );
+    assert_eq!(
+        got.implication_count.to_bits(),
+        want.implication_count.to_bits()
+    );
+}
+
 /// Asserts the served estimate carries exactly the library run's bits.
 pub fn assert_bits_match(body: &str, est: &ImplicationEstimator) {
     let want = est.estimate_now();

@@ -85,6 +85,20 @@ impl MixHasher {
         self.seed
     }
 
+    /// The seed this hasher was created from with [`MixHasher::new`]:
+    /// the pre-mixing is a bijection, and this is its inverse.
+    pub fn unmixed_seed(&self) -> u64 {
+        // Undo mix64 step by step: xorshifts by xoring in the further
+        // shifts, multiplies by the inverse constants mod 2^64.
+        let mut z = self.seed;
+        z ^= (z >> 31) ^ (z >> 62);
+        z = z.wrapping_mul(0x3196_42b2_d24d_8ec3);
+        z ^= (z >> 27) ^ (z >> 54);
+        z = z.wrapping_mul(0x96de_1b17_3f11_9089);
+        z ^= (z >> 30) ^ (z >> 60);
+        z.wrapping_sub(0x9e37_79b9_7f4a_7c15) ^ 0x5851_f42d_4c95_7f2d
+    }
+
     /// Reconstructs a hasher from a previously observed [`MixHasher::seed`]
     /// value (snapshot restore). The raw value is used verbatim — do not
     /// pass user seeds here, use [`MixHasher::new`].
@@ -324,6 +338,13 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for x in 0..10_000u64 {
             assert!(seen.insert(mix64(x)));
+        }
+    }
+
+    #[test]
+    fn unmixed_seed_inverts_new() {
+        for seed in [0, 1, 7, 42, 0xa11c_e0de, u64::MAX, 0x8000_0000_0000_0000] {
+            assert_eq!(MixHasher::new(seed).unmixed_seed(), seed);
         }
     }
 

@@ -68,7 +68,7 @@ pub use imp_core::query::{self, Filter};
 pub use imp_core::{
     lint_prometheus, CapacityPolicy, Confidence, DirtyReason, Estimate, EstimateReader,
     EstimatorConfig, Fringe, ImplicationConditions, ImplicationEstimator, ImplicationQuery,
-    Log2Hist, MemoryBudget, MetricsHandle, MetricsRegistry, MultiplicityPolicy, NipsBitmap,
+    Log2Histogram, MemoryBudget, MetricsHandle, MetricsRegistry, MultiplicityPolicy, NipsBitmap,
     NodeHealth, NodeRegistry, NodeStatus, PairHasher, QueryEngine, QueryKind, ReadView,
     ShardedEstimator, Span, SpanKind, TraceEvent, TraceHandle, TraceJournal, TracedEvent,
     UpdateOutcome, WireMetrics,

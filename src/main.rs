@@ -50,7 +50,7 @@
 //! Fields are treated as opaque strings (hashed to 64-bit fingerprints),
 //! so the tool works on IPs, URLs or numeric ids alike.
 
-use std::io::{BufRead, Write};
+use std::io::BufRead;
 use std::process::exit;
 
 use implicate::sketch::estimate::relative_error;
@@ -496,18 +496,7 @@ struct PairSink<'a> {
 impl<'a> PairSink<'a> {
     fn new(cli: &'a Cli) -> Self {
         let mut est = match &cli.resume {
-            Some(path) => {
-                let raw = std::fs::read(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-                let mut est = ImplicationEstimator::from_bytes(bytes::Bytes::from(raw))
-                    .unwrap_or_else(|e| die(&format!("{path}: {e}")));
-                if est.conditions() != cli.config.conditions_ref() {
-                    die("snapshot was built with different implication conditions");
-                }
-                // A snapshot restores against an unlimited budget; re-arm
-                // the requested ceiling before ingestion continues.
-                est.set_memory_budget(cli.config.memory_budget_limit());
-                est
-            }
+            Some(path) => spec::restore_snapshot(&cli.config, path).unwrap_or_else(|e| die(&e)),
             None => cli.config.build(),
         };
         if cli.trace_out.is_some() {
@@ -640,10 +629,7 @@ impl Sink for PairSink<'_> {
         );
         if let Some(path) = &cli.save {
             let bytes = est.to_bytes();
-            let mut f =
-                std::fs::File::create(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-            f.write_all(&bytes)
-                .unwrap_or_else(|e| die(&format!("{path}: {e}")));
+            std::fs::write(path, &bytes).unwrap_or_else(|e| die(&format!("{path}: {e}")));
             eprintln!("snapshot: wrote {} bytes to {path}", bytes.len());
         }
         // After --save, so the journal includes the snapshot-encode span

@@ -24,7 +24,10 @@ use std::str::FromStr;
 
 use imp_core::nips::CELLS;
 use imp_core::query::{Filter, ImplicationQuery};
-use imp_core::{EstimatorConfig, Fringe, ImplicationConditions, MultiplicityPolicy};
+use imp_core::{
+    EstimatorConfig, Fringe, ImplicationConditions, ImplicationEstimator, MultiplicityPolicy,
+    SnapshotError,
+};
 use imp_sketch::hash::MixHasher;
 use imp_stream::{AttrId, AttrSet};
 
@@ -147,6 +150,25 @@ impl EstimatorFlags {
         }
         Ok(config.memory_budget(bytes))
     }
+}
+
+/// Reads the snapshot file at `path` and restores it under `config`
+/// with [`EstimatorConfig::restore`] (`implicate --resume`,
+/// `implicate-serve --checkpoint`). The error is one line; for a snapshot
+/// built with other estimator settings it names the flag that differs.
+pub fn restore_snapshot(
+    config: &EstimatorConfig,
+    path: &str,
+) -> Result<ImplicationEstimator, String> {
+    let raw = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
+    config.restore(raw.into()).map_err(|e| match &e {
+        SnapshotError::Mismatch {
+            quantity: "conditions",
+            ..
+        } => format!("{path}: {e} (--max-mult, --support, --top-c, --confidence, --policy)"),
+        SnapshotError::Mismatch { quantity, .. } => format!("{path}: {e} (--{quantity})"),
+        _ => format!("{path}: {e}"),
+    })
 }
 
 /// One flag of [`ESTIMATOR_FLAGS`]: its name, value placeholder, help

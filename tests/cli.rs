@@ -109,6 +109,21 @@ fn save_and_resume_roundtrip() {
         (2500.0..6000.0).contains(&answer),
         "resumed answer {answer} should reflect all 4000 sources"
     );
+
+    // The snapshot restores only under the estimator flags it was built
+    // with: a differing one exits 2, the error line naming it.
+    for (flag, value) in [("--seed", "7"), ("--bitmaps", "32"), ("--fringe", "8")] {
+        let out = Command::new(env!("CARGO_BIN_EXE_implicate"))
+            .args(["--lhs", "0", "--rhs", "1", "--resume", snap_s, flag, value])
+            .stdin(Stdio::null())
+            .output()
+            .expect("run implicate");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {stderr}");
+        let first = stderr.lines().next().unwrap_or("");
+        assert!(first.contains(flag), "{flag} {value}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flag} {value}: {stderr}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
